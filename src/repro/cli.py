@@ -33,11 +33,11 @@ Every experiment command (``pareto``, ``scaling``, ``table``,
 ``volume``, ``compare``, ``multisite``, ``sensitivity``, ``stability``)
 runs through the declarative plan layer
 (:mod:`repro.experiments.plan` / :class:`~repro.experiments.runner.PlanRunner`)
-and uniformly accepts ``--jobs``, ``--cache``, ``--sweep-backend``,
-``--resume`` and ``--verify``, plus ``--profile`` for the unified JSON
-run report (``docs/experiments.md``).  ``optimize`` and ``evaluate``
-also accept ``--verify`` for the independent schedule post-condition
-verifier (``docs/resilience.md``).
+and uniformly accepts ``--jobs``, ``--cache``, ``--resume`` and
+``--verify``, plus ``--profile`` for the unified JSON run report
+(``docs/experiments.md``).  ``optimize`` and ``evaluate`` also accept
+``--verify`` for the independent schedule post-condition verifier
+(``docs/resilience.md``).
 
 See ``docs/cli.md`` for worked examples of every command.
 """
@@ -116,7 +116,6 @@ def _runtime_arguments(args: argparse.Namespace) -> dict:
     return {
         "jobs": args.jobs,
         "cache": args.cache,
-        "sweep_backend": args.sweep_backend,
         "resume": args.resume,
         "verify": getattr(args, "verify", False),
         "policy": getattr(args, "policy", None),
@@ -161,7 +160,7 @@ def _run_plan(args: argparse.Namespace, command: str, make_plan,
     ``make_plan`` is called inside the instrumentation context (so any
     parent-side preparation it does — e.g. building SI groups — is
     counted), then the plan runs through :class:`PlanRunner` with the
-    command's ``--jobs/--cache/--sweep-backend/--resume/--verify``
+    command's ``--jobs/--cache/--resume/--verify``
     settings and ``render(run)`` prints the command's output.
     ``--profile`` then emits the unified run report
     (:func:`repro.experiments.reporting.experiment_report`).
@@ -183,7 +182,6 @@ def _run_plan(args: argparse.Namespace, command: str, make_plan,
             jobs=args.jobs,
             cache=cache,
             checkpoint=checkpoint,
-            sweep_backend=args.sweep_backend,
             verify=getattr(args, "verify", False),
             policy=_make_policy(args),
         )
@@ -260,27 +258,17 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sweep_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.runtime.executor import SWEEP_BACKENDS
-
-    parser.add_argument(
-        "--sweep-backend", choices=SWEEP_BACKENDS, default="auto",
-        help="sweep fan-out machinery: the classic one-shot process pool, "
-        "the persistent work-stealing worker pool, or auto-select "
-        "(results are bit-identical either way)",
-    )
-
-
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform plan-runner flags every experiment command accepts:
-    ``--jobs``, ``--cache``, ``--sweep-backend``, ``--resume``,
-    ``--verify`` — plus ``--profile`` for the unified run report."""
+    ``--jobs``, ``--cache``, ``--resume``, ``--verify`` — plus
+    ``--profile`` for the unified run report."""
     from repro.runtime.cache import DEFAULT_STORE_DIR
 
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the plan cells (1 = serial; results "
-        "are bit-identical either way)",
+        help="worker processes for the plan cells (1 = serial, more = "
+        "warm work-stealing workers; results are bit-identical either "
+        "way)",
     )
     parser.add_argument(
         "--cache", nargs="?", const=str(DEFAULT_STORE_DIR), default=None,
@@ -288,7 +276,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         help="memoize plan cells on disk, shared across experiments "
         f"(default directory: {DEFAULT_STORE_DIR})",
     )
-    _add_sweep_backend_flag(parser)
     parser.add_argument(
         "--resume", nargs="?", const="auto", default=None, metavar="PATH",
         help="record every completed cell to a crash-safe checkpoint and "
@@ -769,7 +756,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             state_dir=Path(args.state_dir),
             jobs=args.jobs,
-            sweep_backend=args.sweep_backend,
             cache_dir=args.cache,
             queue_limit=args.queue_limit,
             policy=args.policy,
@@ -1110,7 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes per plan run (the warm pool is shared "
         "across all jobs)",
     )
-    _add_sweep_backend_flag(serve)
     serve.add_argument(
         "--cache", default=None, metavar="DIR",
         help="shared evaluation cache directory "

@@ -11,10 +11,9 @@ provides and loaded through :mod:`ctypes`.
 
 The engine is strictly optional: if no compiler is present, compilation
 fails, the smoke check fails, or ``REPRO_COMPACTION_CSCAN=0`` is set, the
-kernel silently falls back to its pure-Python big-int scan.  Compiled
-objects are cached in the system temp directory keyed by a hash of the C
-source, so the (sub-second) compile happens once per source revision per
-machine, not once per process.
+kernel silently falls back to its pure-Python big-int scan.  Compiling,
+caching and loading are :mod:`repro.native`'s job; this module holds
+the C source, its :mod:`ctypes` binding and its smoke check.
 
 The C side works on flattened integer streams only — pattern cares as
 dense ``(terminal, symbol)`` ids in CSR layout, bus claims likewise — and
@@ -26,12 +25,9 @@ object.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from array import array
+
+from repro.native import NativeEngine
 
 __all__ = ["available", "greedy_scan", "warm"]
 
@@ -206,41 +202,8 @@ int64_t repro_greedy_scan(
 }
 """
 
-_DISABLE_VALUES = ("0", "off", "no", "false")
 
-#: Cached load result: ``None`` = not attempted, ``False`` = unavailable.
-_engine = None
-
-
-def _compile() -> str | None:
-    """Compile the C source into a cached shared object; return its path."""
-    compiler = (shutil.which("cc") or shutil.which("gcc")
-                or shutil.which("clang"))
-    if compiler is None:
-        return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    so_path = os.path.join(tempfile.gettempdir(),
-                           f"repro-cscan-{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        with tempfile.TemporaryDirectory() as workdir:
-            source = os.path.join(workdir, "cscan.c")
-            with open(source, "w", encoding="ascii") as handle:
-                handle.write(_SOURCE)
-            built = os.path.join(workdir, "cscan.so")
-            subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", built, source],
-                check=True, capture_output=True, timeout=120,
-            )
-            os.replace(built, so_path)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return so_path
-
-
-def _bind(so_path: str):
-    lib = ctypes.CDLL(so_path)
+def _bind(lib):
     fn = lib.repro_greedy_scan
     fn.restype = ctypes.c_int64
     fn.argtypes = [
@@ -298,53 +261,24 @@ def _smoke(fn) -> bool:
     return out == ([[0, 2], [1]], 1, 2)
 
 
+ENGINE = NativeEngine(
+    "cscan", _SOURCE, "REPRO_COMPACTION_CSCAN", _bind, _smoke
+)
+
+
 def available() -> bool:
     """Whether the C scan engine compiled, loaded, and passed its smoke."""
-    global _engine
-    if _engine is None:
-        _engine = False
-        toggle = os.environ.get("REPRO_COMPACTION_CSCAN", "").strip().lower()
-        if toggle not in _DISABLE_VALUES and not _load_fault_injected():
-            so_path = _compile()
-            if so_path is not None:
-                try:
-                    fn = _bind(so_path)
-                except OSError:
-                    fn = None
-                if fn is not None and _smoke(fn):
-                    _engine = fn
-            if _engine is False:
-                # The engine was wanted but would not resolve on this
-                # host (no compiler, bad .so, failed smoke): disclose
-                # the pure-Python degradation once per process.
-                from repro.runtime.instrumentation import incr
-
-                incr("recovery.degraded.cscan")
-    return _engine is not False
+    return ENGINE.available()
 
 
 def warm() -> bool:
     """Resolve the engine now, instead of lazily inside the first scan.
 
-    The resolved handle is cached for the life of the process (module
-    global), so a persistent sweep worker that calls this during warm-up
-    pays the compile/load/smoke cost exactly once, outside any cell's
-    wall clock — later cells reuse the handle with a dict lookup.
+    The resolved handle is cached for the life of the process, so a
+    persistent sweep worker that calls this during warm-up pays the
+    compile/load/smoke cost exactly once, outside any cell's wall clock.
     """
-    return available()
-
-
-def _load_fault_injected() -> bool:
-    """``cscan.load`` injection site: a due ``cscan-compile-fail`` fault
-    makes the engine unavailable, exactly like a host with no compiler;
-    the kernel then takes its pure-Python fallback."""
-    from repro.resilience.faults import check_fault
-    from repro.runtime.instrumentation import incr
-
-    if check_fault("cscan.load") is None:
-        return False
-    incr("recovery.cscan_fallback")
-    return True
+    return ENGINE.available()
 
 
 def greedy_scan(patterns):
@@ -401,7 +335,7 @@ def greedy_scan(patterns):
             bus_append(bid)
         bus_off.append(len(bus_flat))
     return _run(
-        _engine, n,
+        ENGINE.handle, n,
         care_flat, care_off, tid_of, len(care_ids), len(terminal_ids),
         bus_flat, bus_off, line_of, len(bus_ids), len(line_ids),
     )

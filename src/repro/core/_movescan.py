@@ -15,10 +15,9 @@ for the equivalence argument) compiled on demand with whatever
 The engine is strictly optional: if no compiler is present, compilation
 fails, the smoke check fails, or ``REPRO_OPTIMIZER_CSCAN=0`` is set, the
 evaluator silently falls back to its pure-Python patch path — scoring is
-bit-identical either way.  Compiled objects are cached in the system
-temp directory keyed by a hash of the C source, so the (sub-second)
-compile happens once per source revision per machine, not once per
-process.
+bit-identical either way.  Compiling, caching and loading are
+:mod:`repro.native`'s job; this module holds the C source, its
+:mod:`ctypes` binding and its smoke checks.
 
 The C side works on flattened integer streams only — rail membership as
 dense core ids in CSR layout, core-to-group membership likewise — and
@@ -29,12 +28,9 @@ stay in Python; the C code never sees a rail object.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from array import array
+
+from repro.native import NativeEngine
 
 __all__ = ["available", "merge_distribute", "score_moves", "warm"]
 
@@ -674,41 +670,8 @@ done:
 }
 """
 
-_DISABLE_VALUES = ("0", "off", "no", "false")
 
-#: Cached load result: ``None`` = not attempted, ``False`` = unavailable.
-_engine = None
-
-
-def _compile() -> str | None:
-    """Compile the C source into a cached shared object; return its path."""
-    compiler = (shutil.which("cc") or shutil.which("gcc")
-                or shutil.which("clang"))
-    if compiler is None:
-        return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    so_path = os.path.join(tempfile.gettempdir(),
-                           f"repro-movescan-{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        with tempfile.TemporaryDirectory() as workdir:
-            source = os.path.join(workdir, "movescan.c")
-            with open(source, "w", encoding="ascii") as handle:
-                handle.write(_SOURCE)
-            built = os.path.join(workdir, "movescan.so")
-            subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", built, source],
-                check=True, capture_output=True, timeout=120,
-            )
-            os.replace(built, so_path)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return so_path
-
-
-def _bind(so_path: str):
-    lib = ctypes.CDLL(so_path)
+def _bind(lib):
     fn = lib.repro_move_scan
     fn.restype = ctypes.c_int64
     fn.argtypes = [
@@ -846,53 +809,28 @@ def _smoke_distribute(dist) -> bool:
     return out == (16, (0,))
 
 
+def _smoke_both(handle) -> bool:
+    return _smoke(handle[0]) and _smoke_distribute(handle[1])
+
+
+ENGINE = NativeEngine(
+    "movescan", _SOURCE, "REPRO_OPTIMIZER_CSCAN", _bind, _smoke_both
+)
+
+
 def available() -> bool:
     """Whether the C move scanner compiled, loaded, and passed its smoke."""
-    global _engine
-    if _engine is None:
-        _engine = False
-        toggle = os.environ.get("REPRO_OPTIMIZER_CSCAN", "").strip().lower()
-        if toggle not in _DISABLE_VALUES and not _load_fault_injected():
-            so_path = _compile()
-            if so_path is not None:
-                try:
-                    fns = _bind(so_path)
-                except (OSError, AttributeError):
-                    fns = None
-                if (fns is not None and _smoke(fns[0])
-                        and _smoke_distribute(fns[1])):
-                    _engine = fns
-            if _engine is False:
-                # Wanted but unresolvable on this host: disclose the
-                # pure-Python degradation once per process.
-                from repro.runtime.instrumentation import incr
-
-                incr("recovery.degraded.movescan")
-    return _engine is not False
+    return ENGINE.available()
 
 
 def warm() -> bool:
     """Resolve the engine now, instead of lazily inside the first scan.
 
-    The resolved handles are cached for the life of the process (module
-    global), so a persistent sweep worker that calls this during warm-up
-    pays the compile/load/smoke cost exactly once, outside any cell's
-    wall clock — later cells reuse the handles with a dict lookup.
+    The resolved handles are cached for the life of the process, so a
+    persistent sweep worker that calls this during warm-up pays the
+    compile/load/smoke cost exactly once, outside any cell's wall clock.
     """
-    return available()
-
-
-def _load_fault_injected() -> bool:
-    """``movescan.load`` injection site: a due ``movescan-compile-fail``
-    fault makes the engine unavailable, exactly like a host with no
-    compiler; the evaluator then takes its pure-Python patch path."""
-    from repro.resilience.faults import check_fault
-    from repro.runtime.instrumentation import incr
-
-    if check_fault("movescan.load") is None:
-        return False
-    incr("recovery.movescan_fallback")
-    return True
+    return ENGINE.available()
 
 
 def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
@@ -906,8 +844,8 @@ def score_moves(n_rails, n_groups, capture, widths, time_in, depths,
     """
     if not available():
         return None
-    return _run(_engine[0], n_rails, n_groups, capture, widths, time_in,
-                depths, rail_off, rail_cores, woc, cg_off, cg_ids,
+    return _run(ENGINE.handle[0], n_rails, n_groups, capture, widths,
+                time_in, depths, rail_off, rail_cores, woc, cg_off, cg_ids,
                 patterns, gids, table, cap, kinds, ma, mb, mc)
 
 
@@ -925,7 +863,7 @@ def merge_distribute(n_rails, n_groups, capture, widths, time_in, depths,
     """
     if not available():
         return None
-    return _run_distribute(_engine[1], n_rails, n_groups, capture, widths,
-                           time_in, depths, rail_off, rail_cores, woc,
-                           cg_off, cg_ids, patterns, gids, table, have,
+    return _run_distribute(ENGINE.handle[1], n_rails, n_groups, capture,
+                           widths, time_in, depths, rail_off, rail_cores,
+                           woc, cg_off, cg_ids, patterns, gids, table, have,
                            cap, merge_a, merge_b, merge_c, leftover)

@@ -246,7 +246,6 @@ def measure_compaction(
     seed: int = 0,
     jobs: int = 1,
     backend: str = "auto",
-    sweep_backend: str = "auto",
     verify: bool = False,
 ) -> tuple[CompactionVolume, ...]:
     """Measure data volume across grouping choices.
@@ -254,17 +253,13 @@ def measure_compaction(
     Group counts are independent, so ``jobs > 1`` fans them out over
     worker processes without changing the reported volumes.  ``backend``
     selects the vertical compaction implementation (see
-    :func:`repro.compaction.vertical.greedy_compact`); ``sweep_backend``
-    the fan-out machinery (see
-    :data:`repro.runtime.executor.SWEEP_BACKENDS`).  The volumes are
-    independent of both.
+    :func:`repro.compaction.vertical.greedy_compact`); the volumes are
+    independent of it.
 
     Raises:
         ValueError: If ``group_counts`` is empty.
     """
-    runner = PlanRunner(
-        jobs=jobs, sweep_backend=sweep_backend, verify=verify
-    )
+    runner = PlanRunner(jobs=jobs, verify=verify)
     run = runner.run(
         ExperimentPlan(
             "volume",
@@ -288,7 +283,6 @@ def run_volume_study(
     generator_config: GeneratorConfig = GeneratorConfig(),
     backend: str = "auto",
     jobs: int = 1,
-    sweep_backend: str = "auto",
     cache: EvaluationCache | None = None,
     checkpoint=None,
     verify: bool = False,
@@ -301,7 +295,6 @@ def run_volume_study(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

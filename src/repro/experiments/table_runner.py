@@ -39,8 +39,8 @@ orchestration this module used to hand-roll:
 Groupings produced by a sweep cell (or restored from the cache) carry an
 empty ``compactions`` tuple (see :mod:`repro.runtime.codec`) — the
 harness reads only group metadata, and per-group merged pattern lists
-would dominate worker→parent traffic.  All sweep backends, job counts,
-and warm/cold cache states produce byte-identical tables.
+would dominate worker→parent traffic.  All job counts and warm/cold
+cache states produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -128,17 +128,16 @@ class TableResult:
 def _grouping_cell_fn(soc, patterns, parts, seed) -> GroupingResult:
     """Plan cell: one two-dimensional compaction run (one group count).
 
-    ``patterns`` may be the materialized list (classic pool protocol) or a
-    :class:`PatternsRef` resolved through the warm per-process state cache
-    (serial and ``workers`` backends).  The returned grouping is the
+    ``patterns`` is a :class:`PatternsRef`, resolved through the warm
+    per-process state cache.  The returned grouping is the
     codec-reduced form — ``compactions == ()``, exactly what a cache hit
     would return — so the result ships group metadata, not pattern lists.
     """
     from repro.runtime.codec import grouping_from_dict, grouping_to_dict
 
-    if isinstance(patterns, PatternsRef):
-        patterns = resolve_patterns(soc, patterns)
-    grouping = build_si_test_groups(soc, patterns, parts=parts, seed=seed)
+    grouping = build_si_test_groups(
+        soc, resolve_patterns(soc, patterns), parts=parts, seed=seed
+    )
     return grouping_from_dict(grouping_to_dict(grouping))
 
 
@@ -391,7 +390,6 @@ def run_table_experiment(
     checkpoint=None,
     verify: bool = False,
     optimizer_backend: str = "auto",
-    sweep_backend: str = "auto",
 ) -> TableResult:
     """Run the full Table 2/3 experiment for one SOC and one ``N_r``.
 
@@ -419,10 +417,6 @@ def run_table_experiment(
             :data:`repro.core.optimizer.OPTIMIZER_BACKENDS`.  All
             backends are bit-identical, so cache keys (and therefore
             hits) are shared across backends by design.
-        sweep_backend: Cell fan-out backend, one of
-            :data:`repro.runtime.executor.SWEEP_BACKENDS` (``auto``
-            resolves to the persistent work-stealing ``workers`` pool for
-            ``jobs > 1``).  All backends produce bit-identical tables.
     """
     from repro.core.optimizer import resolve_optimizer_backend
 
@@ -431,7 +425,6 @@ def run_table_experiment(
         jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        sweep_backend=sweep_backend,
         verify=verify,
     )
     run = runner.run(

@@ -4,7 +4,7 @@ Hours-long sweeps die in boring ways: a worker process is OOM-killed, a
 worker hangs past its budget, a cell ships back a garbage payload, a
 cache entry is truncated by a crash mid-write, or the optional C scan
 engine fails to compile on a new host.  The runtime layer has recovery
-seams for all of these (serial retry, pool fallback, cache quarantine,
+seams for all of these (serial retry, serial fallback, cache quarantine,
 pure-Python scan) — this module makes each failure *reproducible on
 demand* so those seams can be exercised by tests instead of waiting for
 production to exercise them (the SBFI fault-injection methodology,
@@ -26,9 +26,11 @@ site                      hooked where
 ``cache.store.write``     :meth:`repro.runtime.cache.EvaluationCache` disk
                           writes (kinds ``cache-truncate``, ``cache-bitflip``,
                           ``codec-mismatch``)
-``cscan.load``            :func:`repro.compaction._cscan.available` (kind
+``cscan.load``            :func:`repro.compaction._cscan.available` via
+                          :class:`repro.native.NativeEngine` (kind
                           ``cscan-compile-fail``)
-``movescan.load``         :func:`repro.core._movescan.available` (kind
+``movescan.load``         :func:`repro.core._movescan.available` via
+                          :class:`repro.native.NativeEngine` (kind
                           ``movescan-compile-fail``)
 ``checkpoint.record``     :meth:`repro.resilience.checkpoint.SweepCheckpoint`
                           (kind ``sweep-abort`` — hard process kill)

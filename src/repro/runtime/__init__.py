@@ -5,12 +5,12 @@ study) decompose into independent *cells* — one ``TAM_Optimization`` or
 grouping run per (``W_max``, group count) pair.  This package provides the
 machinery to run those cells fast and observably:
 
-* :mod:`repro.runtime.executor` — a process-pool sweep executor with
-  deterministic result ordering, per-cell timeout, retry-once fault
-  handling and a graceful serial fallback.
-* :mod:`repro.runtime.pool` — the work-stealing ``workers`` sweep
-  backend: persistent warm workers with shard queues, cell batching,
-  dead-worker reassignment and a shared warm-state cache.
+* :mod:`repro.runtime.executor` — the sweep executor: serial at
+  ``jobs <= 1``, warm workers above, deterministic result ordering,
+  policy-driven retries and a graceful serial fallback.
+* :mod:`repro.runtime.pool` — the work-stealing worker pool:
+  persistent warm workers with shard queues, cell batching, dead-worker
+  reassignment and a shared warm-state cache.
 * :mod:`repro.runtime.cache` — a keyed evaluation cache (in-memory LRU
   plus an optional on-disk JSON store) memoizing grouping results and
   architecture optimizations by a stable content hash of their inputs.
@@ -38,13 +38,7 @@ from repro.runtime.cache import (
     stable_hash,
     verify_store,
 )
-from repro.runtime.executor import (
-    SWEEP_BACKENDS,
-    CellError,
-    CellFailure,
-    resolve_sweep_backend,
-    run_cells,
-)
+from repro.runtime.executor import CellError, CellFailure, run_cells
 from repro.runtime.pool import (
     PatternsRef,
     PoolUnavailable,
@@ -88,7 +82,6 @@ __all__ = [
     "RetryPolicy",
     "RunPolicy",
     "RunReport",
-    "SWEEP_BACKENDS",
     "SharedStateStore",
     "WorkerPool",
     "absorb_snapshot",
@@ -104,7 +97,6 @@ __all__ = [
     "optimize_cache_key",
     "patterns_cache_key",
     "resolve_patterns",
-    "resolve_sweep_backend",
     "run_cells",
     "run_cells_stolen",
     "soc_fingerprint",

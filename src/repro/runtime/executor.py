@@ -1,20 +1,27 @@
-"""Process-pool sweep executor with deterministic ordering and fallback.
+"""Sweep executor: serial, or warm workers at ``jobs > 1``.
 
 Experiment sweeps decompose into independent *cells* — one optimizer or
-grouping run per parameter combination.  :func:`run_cells` fans a list of
-cell specs over a :class:`concurrent.futures.ProcessPoolExecutor` and
-returns the results **in input order**, so a parallel sweep is
-indistinguishable from a serial one to the caller.
+grouping run per parameter combination.  :func:`run_cells` runs a list of
+cell specs and returns the results **in input order**, so a parallel
+sweep is indistinguishable from a serial one to the caller.  ``jobs`` is
+the only parallelism choice:
+
+* ``jobs <= 1`` (or a single cell) runs serially in-process;
+* ``jobs > 1`` fans the cells out over the work-stealing
+  :class:`repro.runtime.pool.WorkerPool` — a transient one, or the
+  caller's already-warm ``pool`` spanning several sweep phases.  When
+  worker processes cannot be started (e.g. a sandbox without process
+  support) the sweep runs serially instead, disclosed by
+  ``recovery.workers_serial_fallback``.
 
 Fault handling, in order of escalation:
 
-* ``jobs <= 1``, a single cell, or a pool that cannot be created (e.g.
-  a sandbox without process support) → plain serial execution;
-* a cell that raises, times out, returns a result its validator rejects,
-  or dies with its worker process → one serial retry in the parent
-  process (covers transient faults such as an OOM-killed worker — and a
-  hard bug reproduces identically in the parent, where it is debuggable);
-* a cell that fails its serial retry → :class:`CellError` carrying the
+* a cell that raises or returns a result its validator rejects is
+  retried serially under the current
+  :class:`~repro.runtime.supervision.RunPolicy`'s retry budget (on the
+  worker pool a hung cell, or one whose worker died, is taken over by
+  the parent the same way — see :meth:`WorkerPool.run`);
+* a cell that exhausts its budget → :class:`CellError` carrying the
   cell index, both failures chained (`retry failure from original
   failure`), and the spec.
 
@@ -24,31 +31,11 @@ standard :mod:`multiprocessing` constraints.
 When a fault plan is active (:mod:`repro.resilience.faults`), the worker
 is wrapped with the ``executor.cell`` injection site; with no plan the
 wrap is an identity and the hot path is untouched.
-
-Two parallel backends implement the fan-out (``SWEEP_BACKENDS``):
-
-* ``pool`` — the classic one-shot ``ProcessPoolExecutor``: workers are
-  created per call and specs are shipped fully materialized.  Right for
-  a single phase of heavyweight cells.
-* ``workers`` — the work-stealing :class:`repro.runtime.pool.WorkerPool`:
-  persistent warm workers, shard queues with stealing and batching,
-  dead-worker reassignment, and reference-based specs resolved through
-  the warm per-worker state cache.  Right for sweeps of many small cells.
-
-``auto`` resolves to ``workers`` for a parallel multi-cell sweep.  The
-default of :func:`run_cells` stays ``pool`` so direct callers keep the
-exact pre-existing semantics; sweep harnesses opt into ``auto`` and pass
-a shared :class:`~repro.runtime.pool.WorkerPool` spanning their phases.
-Either parallel backend degrades to the other and ultimately to serial
-execution when processes cannot be spawned, and both return results in
-input order, bit-identical to serial.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Sequence
 
 from repro.runtime.instrumentation import incr
@@ -81,29 +68,6 @@ ON_ERROR_MODES = ("raise", "return")
 #: Public name for the structured failure the executor escalates to.
 CellFailure = CellError
 
-#: Recognized sweep fan-out backends (see module docstring).
-SWEEP_BACKENDS = ("auto", "pool", "workers")
-
-
-def resolve_sweep_backend(
-    backend: str, jobs: int = 2, cells: int = 2
-) -> str:
-    """Resolve a requested sweep backend to a concrete one.
-
-    ``auto`` picks ``workers`` whenever the sweep actually fans out
-    (``jobs > 1`` and more than one cell) — amortized warm-up wins there —
-    and ``pool`` otherwise (where ``run_cells`` short-circuits to serial
-    anyway).  Explicit names pass through; unknown names raise.
-    """
-    if backend not in SWEEP_BACKENDS:
-        raise ValueError(
-            f"unknown sweep backend {backend!r}; expected one of "
-            f"{', '.join(SWEEP_BACKENDS)}"
-        )
-    if backend != "auto":
-        return backend
-    return "workers" if jobs > 1 and cells > 1 else "pool"
-
 
 def run_cells(
     worker: Callable,
@@ -112,7 +76,6 @@ def run_cells(
     timeout: float | None = None,
     retry: bool = True,
     validate: Callable | None = None,
-    backend: str = "pool",
     pool=None,
     shard_keys: Sequence | None = None,
     warmup: Callable | None = None,
@@ -124,27 +87,24 @@ def run_cells(
         worker: Module-level callable applied to each spec.
         specs: The cell specs, one per cell.
         jobs: Worker process count; ``<= 1`` means serial in-process.
-        timeout: Per-cell budget in seconds to wait for a result once
-            submitted (``None`` = unbounded).  A cell that exceeds it is
-            abandoned in the pool and retried serially.
-        retry: Retry failed/timed-out cells serially in the parent before
-            giving up.  With ``retry=False`` the first failure raises.
+        timeout: Per-cell budget in seconds on the worker pool
+            (``None`` = the policy's ``cell_timeout``).  A cell past it
+            has its worker killed and is retried in the parent under the
+            same budget.
+        retry: Retry failed cells serially before giving up.  With
+            ``retry=False`` the first failure is final.
         validate: Optional result validator; a result it raises on (or
             returns ``False`` for) is treated exactly like a raising
             cell — retried serially, then escalated to
             :class:`CellError`.  Guards against garbage/partial payloads
             from a sick worker process.
-        backend: ``"pool"`` (default: classic one-shot process pool),
-            ``"workers"`` (persistent work-stealing pool) or ``"auto"``
-            (see :func:`resolve_sweep_backend`).
         pool: An already-warm :class:`repro.runtime.pool.WorkerPool` to
-            run on (implies the ``workers`` backend); the caller owns its
-            lifecycle, so one pool can span several sweep phases.
-        shard_keys: Optional per-spec state keys for the ``workers``
-            backend — cells sharing a key land on the same worker and
-            share its warm state.  Ignored by the classic pool.
-        warmup: Optional per-worker warm-up hook for a transient
-            ``workers`` pool.  Ignored by the classic pool.
+            run on; the caller owns its lifecycle, so one pool can span
+            several sweep phases.
+        shard_keys: Optional per-spec state keys for the worker pool —
+            cells sharing a key land on the same worker and share its
+            warm state.
+        warmup: Optional per-worker warm-up hook for a transient pool.
         on_error: ``"raise"`` (default) escalates the first cell whose
             retry budget is exhausted as :class:`CellError`; ``"return"``
             places the :class:`CellError` *in the results list* at the
@@ -166,120 +126,46 @@ def run_cells(
             f"{', '.join(ON_ERROR_MODES)}"
         )
     specs = list(specs)
-    resolved_backend = resolve_sweep_backend(
-        backend, jobs=jobs, cells=len(specs)
-    )
-    if pool is None:
-        # Repeated backend-level failure demotes a backend for the rest
-        # of the process (workers -> pool -> serial); an explicit warm
-        # pool is the caller's decision and stays untouched.
-        resolved_backend = degraded_backend(resolved_backend)
     if not specs:
         return []
     from repro.resilience.faults import wrap_worker
 
     worker = wrap_worker(worker)
-    if pool is None and (
-        jobs <= 1 or len(specs) == 1 or resolved_backend == "serial"
+    if pool is not None:
+        incr("executor.backend.workers")
+        return pool.run(
+            worker, specs, timeout=timeout, retry=retry, validate=validate,
+            shard_keys=shard_keys, on_error=on_error,
+        )
+    if (
+        jobs > 1
+        and len(specs) > 1
+        # The degradation ladder retires the workers for the rest of
+        # the process after repeated backend-level failure.
+        and degraded_backend("workers") == "workers"
     ):
-        return _run_serial(worker, specs, retry, validate, on_error)
-
-    if pool is not None or resolved_backend == "workers":
         from repro.runtime.pool import PoolUnavailable, run_cells_stolen
 
         try:
-            if pool is not None:
-                incr("executor.backend.workers")
-                return pool.run(
-                    worker, specs, timeout=timeout, retry=retry,
-                    validate=validate, shard_keys=shard_keys,
-                    on_error=on_error,
-                )
             result = run_cells_stolen(
                 worker, specs, jobs=jobs, timeout=timeout, retry=retry,
                 validate=validate, warmup=warmup, shard_keys=shard_keys,
                 on_error=on_error,
             )
         except PoolUnavailable:
-            # No persistent workers here; the classic pool below makes its
-            # own serial-fallback decision.
-            incr("recovery.workers_pool_fallback")
-            note_backend_failure("workers")
+            note_workers_unavailable()
         else:
             incr("executor.backend.workers")
             return result
+    return _run_serial(worker, specs, retry, validate, on_error)
 
-    incr("executor.backend.pool")
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
-    except (OSError, ValueError, NotImplementedError):
-        # No process support here (restricted sandbox); degrade gracefully.
-        incr("executor.serial_fallbacks")
-        incr("recovery.pool_serial_fallback")
-        note_backend_failure("pool")
-        return _run_serial(worker, specs, retry, validate, on_error)
 
-    results: list = [None] * len(specs)
-    needs_retry: list[tuple[int, BaseException]] = []
-    breaker = current_breaker()
-    pool_broken = False
-    timed_out = False
-    try:
-        futures = [pool.submit(worker, spec) for spec in specs]
-        incr("executor.cells_submitted", len(specs))
-        for index, future in enumerate(futures):
-            try:
-                # Once the pool is known dead, only harvest what already
-                # finished — never wait on it again.
-                results[index] = future.result(
-                    timeout=0 if pool_broken else timeout
-                )
-            except FutureTimeoutError:
-                future.cancel()
-                timed_out = True
-                incr("executor.cell_timeouts")
-                needs_retry.append(
-                    (index, TimeoutError(f"cell exceeded {timeout}s"))
-                )
-            except (Exception, CancelledError) as error:
-                if _is_pool_death(error) and not pool_broken:
-                    # One dead pool surfaces on every outstanding future;
-                    # count the incident once.
-                    pool_broken = True
-                    incr("executor.pool_failures")
-                    note_backend_failure("pool")
-                needs_retry.append((index, error))
-            else:
-                problem = _invalid(validate, results[index])
-                if problem is not None:
-                    results[index] = None
-                    incr("executor.invalid_results")
-                    incr("recovery.garbage_results")
-                    needs_retry.append((index, problem))
-                elif breaker is not None:
-                    breaker.record(True)
-    finally:
-        # A timed-out or broken pool may hold hung workers; do not block
-        # shutdown on them.
-        pool.shutdown(wait=not (timed_out or pool_broken), cancel_futures=True)
-
-    for index, cause in needs_retry:
-        try:
-            results[index] = retry_cell(
-                worker, specs[index], index, cause, retry, validate
-            )
-        except CellError as failure:
-            if breaker is not None:
-                breaker.record(False)
-            if on_error == "return":
-                incr("executor.cells_failed")
-                results[index] = failure
-                continue
-            raise
-        else:
-            if breaker is not None:
-                breaker.record(True)
-    return results
+def note_workers_unavailable() -> None:
+    """Account a sweep that wanted workers but could not start them and
+    runs serially instead."""
+    incr("executor.serial_fallbacks")
+    incr("recovery.workers_serial_fallback")
+    note_backend_failure("workers")
 
 
 def _invalid(validate: Callable | None, value) -> Exception | None:
@@ -344,19 +230,22 @@ def retry_cell(
     retry: bool,
     validate: Callable | None = None,
     timeout: float | None = None,
+    on_error: str = "raise",
 ) -> object:
     """Serial retry attempts for a cell whose first attempt failed.
 
     Runs attempts 2..N of the current policy's retry budget (with its
     deterministic backoff between attempts) and returns the first good
-    value; raises :class:`CellError` when the budget is exhausted, the
-    breaker is open, or ``retry`` is off.  ``timeout`` bounds each retry
-    attempt via :func:`bounded_call` (the parent-takeover deadline).
+    value.  When the budget is exhausted, the breaker is open, or
+    ``retry`` is off, the cell has failed: :class:`CellError` is raised,
+    or returned under ``on_error="return"``.  Either outcome is recorded
+    on the breaker.  ``timeout`` bounds each retry attempt via
+    :func:`bounded_call` (the parent-takeover deadline).
     """
     cause = first_cause
+    breaker = current_breaker()
     if retry:
         retry_policy = current_policy().retry
-        breaker = current_breaker()
         for attempt in range(2, retry_policy.max_attempts + 1):
             if breaker is not None and breaker.tripped:
                 break
@@ -368,13 +257,23 @@ def retry_cell(
                 if problem is not None:
                     raise problem
             except Exception as error:
+                # Chain the retry's failure onto the original so neither
+                # traceback is lost in the escalation.
                 if error.__cause__ is None and error is not cause:
                     error.__cause__ = cause
                 cause = error
                 continue
             incr("recovery.cell_retry_ok")
+            if breaker is not None:
+                breaker.record(True)
             return value
-    raise CellError(index, spec, cause) from cause
+    if breaker is not None:
+        breaker.record(False)
+    failure = CellError(index, spec, cause)
+    if on_error == "return":
+        incr("executor.cells_failed")
+        return failure
+    raise failure from cause
 
 
 def _run_serial(
@@ -384,61 +283,26 @@ def _run_serial(
     validate: Callable | None = None,
     on_error: str = "raise",
 ) -> list:
-    retry_policy = current_policy().retry
     breaker = current_breaker()
     results = []
     for index, spec in enumerate(specs):
-        budget = retry_policy.max_attempts if retry else 1
-        cause: BaseException | None = None
-        value = None
-        for attempt in range(1, budget + 1):
+        try:
             if breaker is not None and breaker.tripped:
-                if cause is None:
-                    cause = CircuitOpenError(
-                        f"circuit breaker open ({breaker.describe()})"
-                    )
-                break
-            if attempt > 1:
-                incr("executor.cell_retries")
-                _backoff(retry_policy, index, attempt - 1)
-            try:
-                value = worker(spec)
-                problem = _invalid(validate, value)
-                if problem is not None:
-                    if attempt == 1:
-                        incr("recovery.garbage_results")
-                    raise problem
-            except Exception as error:
-                if (
-                    cause is not None
-                    and error.__cause__ is None
-                    and error is not cause
-                ):
-                    # Chain the retry's failure onto the original so
-                    # neither traceback is lost in the escalation.
-                    error.__cause__ = cause
-                cause = error
-                continue
-            if attempt > 1:
-                incr("recovery.cell_retry_ok")
-            cause = None
-            break
-        if cause is not None:
+                raise CircuitOpenError(
+                    f"circuit breaker open ({breaker.describe()})"
+                )
+            value = worker(spec)
+            problem = _invalid(validate, value)
+            if problem is not None:
+                incr("recovery.garbage_results")
+                raise problem
+        except Exception as error:
+            value = retry_cell(
+                worker, spec, index, error, retry, validate,
+                on_error=on_error,
+            )
+        else:
             if breaker is not None:
-                breaker.record(False)
-            failure = CellError(index, spec, cause)
-            if on_error == "return":
-                incr("executor.cells_failed")
-                results.append(failure)
-                continue
-            raise failure from cause
-        if breaker is not None:
-            breaker.record(True)
+                breaker.record(True)
         results.append(value)
     return results
-
-
-def _is_pool_death(error: BaseException) -> bool:
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(error, BrokenProcessPool)

@@ -1,14 +1,9 @@
 """Work-stealing sweep runtime with persistent warm workers.
 
-The classic :mod:`repro.runtime.executor` pool creates a fresh
-``ProcessPoolExecutor`` per ``run_cells`` call, so every sweep phase pays
-its warm-up again: worker processes are recreated, the optional C scan
-engines are re-resolved, and big cell inputs (the SI pattern set) are
-pickled into every single cell.  For overhead-dominated sweeps — many
-small cells over modest SOCs, exactly the regime of the cross-architecture
-comparison tables — that fixed cost dominates the actual evaluation work.
-
-This module keeps ``jobs`` worker processes alive for the whole sweep:
+This is what :func:`repro.runtime.executor.run_cells` runs on at
+``jobs > 1``.  It keeps ``jobs`` worker processes alive for the whole
+sweep, so no phase pays worker start-up, C-engine resolution or
+pattern-set shipping again:
 
 * each worker initializes **once** (``warmup`` hook: pre-load the C scan
   and move-scan engines, open the shared state store) and then pulls cells
@@ -492,7 +487,7 @@ class WorkerPool:
         ``shard_keys`` (parallel to ``specs``) route cells sharing warm
         state to the same worker.
         """
-        from repro.runtime.executor import CellError, _invalid, retry_cell
+        from repro.runtime.executor import _invalid, retry_cell
 
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -703,22 +698,10 @@ class WorkerPool:
             # under the same cell deadline the workers enforce, so a
             # deterministic hang cannot stall the whole sweep here.
             incr("pool.parent_takeover")
-            try:
-                results[index] = retry_cell(
-                    worker, specs[index], index, cause, retry, validate,
-                    timeout=timeout,
-                )
-            except CellError as failure:
-                if breaker is not None:
-                    breaker.record(False)
-                if on_error == "return":
-                    incr("executor.cells_failed")
-                    results[index] = failure
-                    continue
-                raise
-            else:
-                if breaker is not None:
-                    breaker.record(True)
+            results[index] = retry_cell(
+                worker, specs[index], index, cause, retry, validate,
+                timeout=timeout, on_error=on_error,
+            )
         return results
 
     # -- internals --------------------------------------------------------
@@ -841,7 +824,7 @@ def run_cells_stolen(
 
     Raises:
         PoolUnavailable: When workers cannot be started (callers fall back
-            to the classic pool).
+            to serial execution).
     """
     specs = list(specs)
     with WorkerPool(

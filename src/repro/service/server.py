@@ -84,7 +84,6 @@ class ServiceConfig:
             journal), ``checkpoints/`` (per-fingerprint resume files),
             and — unless ``cache_dir`` overrides it — ``cache/``.
         jobs: Worker processes per plan run (1 = serial in-thread).
-        sweep_backend: Fan-out backend for plan cells.
         cache_dir: Evaluation cache store shared by every job.
         queue_limit: Bounded queue capacity (0 = unbounded).
         retry_after: The ``Retry-After`` hint on a 429.
@@ -98,7 +97,6 @@ class ServiceConfig:
     port: int = 0
     state_dir: str | Path = Path("results") / "service"
     jobs: int = 1
-    sweep_backend: str = "auto"
     cache_dir: str | Path | None = None
     queue_limit: int = 256
     retry_after: float = 1.0
@@ -266,7 +264,6 @@ class OptimizationService:
                     jobs=self.config.jobs,
                     cache=self.cache,
                     checkpoint=checkpoint,
-                    sweep_backend=self.config.sweep_backend,
                     verify=self.config.verify,
                     policy=self.policy,
                     pool=self._shared_pool(),

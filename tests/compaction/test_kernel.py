@@ -309,10 +309,9 @@ def test_scan_engines_agree():
     assert c_words > 0
 
 
-def test_cscan_disabled_by_environment(monkeypatch):
+def test_cscan_disabled_by_environment(monkeypatch, reprobe_engines):
     from repro.compaction import _cscan
 
-    monkeypatch.setattr(_cscan, "_engine", None)  # force a fresh probe
     monkeypatch.setenv("REPRO_COMPACTION_CSCAN", "0")
     assert not _cscan.available()
     assert _cscan.greedy_scan([SIPattern(cares={(1, 0): "R"})]) is None

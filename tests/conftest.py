@@ -18,6 +18,22 @@ def _fresh_degradation_ladder():
     supervision.reset_degradations()
 
 
+@pytest.fixture
+def reprobe_engines():
+    """Force a fresh probe of both C engines before and after the test,
+    so a test that disables or breaks one (environment toggle, injected
+    fault, planted cache file) does not leak that into later tests."""
+    from repro.compaction import _cscan
+    from repro.core import _movescan
+
+    engines = (_cscan.ENGINE, _movescan.ENGINE)
+    for engine in engines:
+        engine.reset()
+    yield engines
+    for engine in engines:
+        engine.reset()
+
+
 @pytest.fixture(scope="session")
 def t5() -> Soc:
     """The shipped five-core toy SOC."""

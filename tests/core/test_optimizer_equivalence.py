@@ -87,8 +87,10 @@ class TestBitIdentity:
         _assert_identical(reference[(name, w_max)], result)
 
     @pytest.mark.parametrize("name,w_max", CASES, ids=IDS)
-    def test_without_c_kernel(self, suite, monkeypatch, name, w_max):
-        monkeypatch.setattr(_movescan, "_engine", False)
+    def test_without_c_kernel(
+        self, suite, monkeypatch, reprobe_engines, name, w_max
+    ):
+        monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", "0")
         socs, groups, reference = suite
         result = optimize_tam(
             socs[name], w_max, groups[name], backend="incremental"
@@ -107,9 +109,10 @@ class TestBitIdentity:
                 )
                 _assert_identical(reference, incremental)
 
-    def test_environment_toggle_disables_engine(self, suite, monkeypatch):
+    def test_environment_toggle_disables_engine(
+        self, suite, monkeypatch, reprobe_engines
+    ):
         monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", "0")
-        monkeypatch.setattr(_movescan, "_engine", None)  # fresh probe
         assert _movescan.available() is False
         socs, groups, reference = suite
         result = optimize_tam(

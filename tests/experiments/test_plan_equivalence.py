@@ -1,8 +1,8 @@
 """Every experiment kind: serial == workers == resumed.
 
 This is the PR-level contract of the plan layer: a plan produces the
-same report whether its cells run in-process, on the parallel backends,
-or replayed from a checkpoint after a crash.  Wall-clock fields
+same report whether its cells run in-process, on the warm workers, or
+replayed from a checkpoint after a crash.  Wall-clock fields
 (``*seconds*``) are the only permitted difference.
 """
 
@@ -68,7 +68,8 @@ def _canon(value):
 def test_serial_equals_workers(kind, t5):
     plan = PLANS[kind](t5)
     serial = PlanRunner(jobs=1).run(plan)
-    workers = PlanRunner(jobs=2, sweep_backend="workers").run(plan)
+    workers = PlanRunner(jobs=2).run(plan)
+    assert (serial.backend, workers.backend) == ("serial", "workers")
     assert _canon(workers.report) == _canon(serial.report)
     assert serial.executed == serial.cells - serial.pruned
 
@@ -92,7 +93,7 @@ def test_worker_crash_recovers_to_identical_report(t5):
     plan = pareto_plan(t5, (4, 6, 8))
     clean = PlanRunner(jobs=1).run(plan)
     with faults.inject("worker:worker-crash@0", env=True):
-        crashed = PlanRunner(jobs=2, sweep_backend="workers").run(plan)
+        crashed = PlanRunner(jobs=2).run(plan)
     assert _canon(crashed.report) == _canon(clean.report)
 
 

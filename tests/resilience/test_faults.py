@@ -127,9 +127,7 @@ class TestExecutorFaults:
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with faults.inject("worker:worker-crash@0", env=True):
-                results = run_cells(
-                    _double, [1, 2, 3, 4, 5, 6], jobs=2, backend="workers"
-                )
+                results = run_cells(_double, [1, 2, 3, 4, 5, 6], jobs=2)
         assert results == [2, 4, 6, 8, 10, 12]
         counters = instrumentation.counters
         assert counters["pool.workers_lost"] >= 1
@@ -140,8 +138,7 @@ class TestExecutorFaults:
         with use_instrumentation(instrumentation):
             with faults.inject("worker:worker-hang@0:30", env=True):
                 results = run_cells(
-                    _double, [1, 2, 3, 4], jobs=2, backend="workers",
-                    timeout=0.5,
+                    _double, [1, 2, 3, 4], jobs=2, timeout=0.5,
                 )
         assert results == [2, 4, 6, 8]
         counters = instrumentation.counters
@@ -193,14 +190,15 @@ class TestCacheFaults:
 
 
 class TestCscanFault:
-    def test_compile_fault_forces_python_fallback(self, monkeypatch):
+    def test_compile_fault_forces_python_fallback(
+        self, monkeypatch, reprobe_engines
+    ):
         from repro.compaction import _cscan
 
         # A REPRO_COMPACTION_CSCAN=0 environment (the CI fallback leg)
         # would short-circuit before the injection site; pin it clean so
         # the fault, not the toggle, disables the engine.
         monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
-        monkeypatch.setattr(_cscan, "_engine", None)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with faults.inject("cscan-compile-fail@0"):
@@ -211,16 +209,14 @@ class TestCscanFault:
         assert counters["recovery.cscan_fallback"] == 1
 
     def test_kernel_result_identical_under_compile_fault(
-        self, monkeypatch, t5
+        self, monkeypatch, reprobe_engines, t5
     ):
-        from repro.compaction import _cscan
         from repro.compaction.kernel import greedy_compact_bitset
         from repro.sitest.generator import generate_random_patterns
 
         patterns = generate_random_patterns(t5, 200, seed=3)
         baseline = greedy_compact_bitset(patterns)
         monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
-        monkeypatch.setattr(_cscan, "_engine", None)
         with faults.inject("cscan-compile-fail@0"):
             faulted = greedy_compact_bitset(patterns)
         assert faulted.members == baseline.members
@@ -228,11 +224,12 @@ class TestCscanFault:
 
 
 class TestMovescanFault:
-    def test_compile_fault_forces_python_fallback(self, monkeypatch):
+    def test_compile_fault_forces_python_fallback(
+        self, monkeypatch, reprobe_engines
+    ):
         from repro.core import _movescan
 
         monkeypatch.delenv("REPRO_OPTIMIZER_CSCAN", raising=False)
-        monkeypatch.setattr(_movescan, "_engine", None)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             with faults.inject("movescan-compile-fail@0"):
@@ -242,14 +239,12 @@ class TestMovescanFault:
         assert counters["recovery.movescan_fallback"] == 1
 
     def test_optimizer_result_identical_under_compile_fault(
-        self, monkeypatch, d695
+        self, monkeypatch, reprobe_engines, d695
     ):
-        from repro.core import _movescan
         from repro.core.optimizer import optimize_tam
 
         baseline = optimize_tam(d695, 16, backend="incremental")
         monkeypatch.delenv("REPRO_OPTIMIZER_CSCAN", raising=False)
-        monkeypatch.setattr(_movescan, "_engine", None)
         with faults.inject("movescan-compile-fail@0"):
             faulted = optimize_tam(d695, 16, backend="incremental")
         assert faulted.architecture == baseline.architecture

@@ -1,17 +1,22 @@
-"""Tests of the process-pool sweep executor."""
+"""Tests of the sweep executor (serial, or warm workers at jobs > 1)."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
+from repro.experiments.render import render_report
+from repro.experiments.runner import PlanRunner
+from repro.experiments.table_runner import table_plan
 from repro.runtime.executor import CellError, run_cells
 from repro.runtime.instrumentation import (
     Instrumentation,
     use_instrumentation,
 )
+from repro.runtime.pool import PoolUnavailable, WorkerPool
 
 
 def _square(spec):
@@ -39,6 +44,13 @@ def _flaky_once(spec):
 
 def _slow(spec):
     time.sleep(spec)
+    return spec
+
+
+def _slow_in_worker(spec):
+    """Sleeps ``spec`` seconds in a worker process only."""
+    if multiprocessing.parent_process() is not None:
+        time.sleep(spec)
     return spec
 
 
@@ -103,19 +115,36 @@ class TestParallel:
         assert excinfo.value.index == 2
 
     def test_killed_worker_falls_back_to_serial(self):
-        # Workers hard-exit, breaking the pool (BrokenProcessPool); every
-        # dead cell must then be recovered by the parent's serial retry,
-        # where the pid matches and the worker function succeeds.
+        # Workers hard-exit, so the whole pool is lost; every dead cell
+        # must then be recovered by the parent's takeover, where the pid
+        # matches and the worker function succeeds.
         parent = os.getpid()
         specs = [parent, parent]
         assert run_cells(_die_unless_pid, specs, jobs=2) == specs
 
     def test_timeout_triggers_serial_retry(self):
-        # 10s cell against a 0.05s budget: abandoned in the pool, then
-        # the serial retry runs it to completion (0s variant) -- here we
-        # use a spec the retry CAN complete by sleeping a short time.
-        results = run_cells(_slow, [0.3, 0.0], jobs=2, timeout=0.1)
+        # A 0.3s cell against a 0.1s budget: its worker is killed and the
+        # parent retries it under the same budget, which it meets there
+        # (the cell only sleeps in a worker).
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            results = run_cells(
+                _slow_in_worker, [0.3, 0.0], jobs=2, timeout=0.1
+            )
         assert results == [0.3, 0.0]
+        assert instrumentation.counters["executor.cell_timeouts"] >= 1
+
+    def test_jobs_picks_workers_for_parallel_sweeps(self):
+        # Workers only when the sweep actually fans out.
+        for jobs, cells, on_workers in ((2, 4, True), (1, 4, False),
+                                        (2, 1, False)):
+            instrumentation = Instrumentation()
+            with use_instrumentation(instrumentation):
+                results = run_cells(_square, list(range(cells)), jobs=jobs)
+            assert results == [spec * spec for spec in range(cells)]
+            counters = instrumentation.counters
+            assert ("executor.backend.workers" in counters) is on_workers
+            assert ("pool.workers_started" in counters) is on_workers
 
     def test_counters_account_for_submissions(self):
         instrumentation = Instrumentation()
@@ -124,41 +153,54 @@ class TestParallel:
         assert instrumentation.counters["executor.cells_submitted"] == 3
 
 
-class TestPoolDeathDetection:
-    def test_broken_pool_is_pool_death(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.runtime.executor import _is_pool_death
-
-        assert _is_pool_death(BrokenProcessPool("worker died"))
-
-    def test_ordinary_errors_are_not_pool_death(self):
-        from repro.runtime.executor import _is_pool_death
-
-        assert not _is_pool_death(ValueError("boom"))
-        assert not _is_pool_death(TimeoutError("slow"))
-        assert not _is_pool_death(RuntimeError("generic"))
+def _recovery(counters) -> dict:
+    return {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("recovery.")
+    }
 
 
 class TestSerialFallback:
-    def test_pool_creation_failure_degrades_to_serial(self, monkeypatch):
-        # A sandbox without process support: ProcessPoolExecutor raises at
-        # construction; the sweep must still complete, serially.
-        import repro.runtime.executor as executor_module
+    """A sandbox without process support: the workers cannot start, so
+    the sweep finishes serially, bit-identical, disclosed once."""
 
-        def _no_pool(*args, **kwargs):
-            raise OSError("processes unavailable")
+    @pytest.fixture
+    def starts(self, monkeypatch) -> list:
+        starts: list = []
 
-        monkeypatch.setattr(
-            executor_module, "ProcessPoolExecutor", _no_pool
-        )
+        def _unavailable(pool, *args, **kwargs):
+            starts.append(args)
+            raise PoolUnavailable("processes unavailable")
+
+        monkeypatch.setattr(WorkerPool, "__init__", _unavailable)
+        return starts
+
+    def test_pool_creation_failure_degrades_to_serial(self, starts):
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
             results = run_cells(_square, [1, 2, 3], jobs=4)
         assert results == [1, 4, 9]
+        assert len(starts) == 1
         counters = instrumentation.counters
         assert counters["executor.serial_fallbacks"] == 1
-        assert counters["recovery.pool_serial_fallback"] == 1
+        assert _recovery(counters) == {"recovery.workers_serial_fallback": 1}
+
+    def test_plan_runner_goes_serial_once(self, starts, t5):
+        # A table plan runs several waves; the failed start is not
+        # retried on any of them.
+        plan = table_plan(t5, 150, widths=(4, 8), group_counts=(1, 2))
+        serial = PlanRunner(jobs=1).run(plan)
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            run = PlanRunner(jobs=2).run(plan)
+        assert len(starts) == 1
+        assert run.backend == "serial"
+        assert render_report("table", run.report) == render_report(
+            "table", serial.report
+        )
+        counters = instrumentation.counters
+        assert _recovery(counters) == {"recovery.workers_serial_fallback": 1}
 
 
 class TestErrorChaining:

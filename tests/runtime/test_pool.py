@@ -7,12 +7,7 @@ import os
 
 import pytest
 
-from repro.runtime.executor import (
-    SWEEP_BACKENDS,
-    CellError,
-    resolve_sweep_backend,
-    run_cells,
-)
+from repro.runtime.executor import CellError, run_cells
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.runtime.pool import (
     PatternsRef,
@@ -46,24 +41,6 @@ def _crash_in_worker(spec):
 
 def _bad_warmup():
     raise RuntimeError("no engines here")
-
-
-class TestResolveSweepBackend:
-    def test_explicit_names_pass_through(self):
-        for name in ("pool", "workers"):
-            assert resolve_sweep_backend(name, jobs=1, cells=1) == name
-
-    def test_auto_picks_workers_for_parallel_sweeps(self):
-        assert resolve_sweep_backend("auto", jobs=2, cells=4) == "workers"
-        assert resolve_sweep_backend("auto", jobs=1, cells=4) == "pool"
-        assert resolve_sweep_backend("auto", jobs=2, cells=1) == "pool"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            resolve_sweep_backend("threads")
-
-    def test_registry_is_complete(self):
-        assert set(SWEEP_BACKENDS) == {"auto", "pool", "workers"}
 
 
 class TestSharedStateStore:
@@ -202,7 +179,7 @@ class TestWorkerPool:
 
     def test_run_cells_workers_backend(self):
         specs = list(range(8))
-        assert run_cells(_double, specs, jobs=2, backend="workers") == [
+        assert run_cells(_double, specs, jobs=2) == [
             _double(spec) for spec in specs
         ]
 

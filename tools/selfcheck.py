@@ -199,15 +199,14 @@ def _selfcheck_cell(value):
     return value * 2
 
 
-@check("runtime: work-stealing workers backend")
+@check("runtime: work-stealing workers at --jobs 2")
 def _workers_backend():
     from repro.runtime import run_cells
     from repro.runtime.pool import PoolUnavailable, run_cells_stolen
 
     specs = list(range(8))
     serial = run_cells(_selfcheck_cell, specs, jobs=1)
-    assert run_cells(_selfcheck_cell, specs, jobs=2,
-                     backend="workers") == serial
+    assert run_cells(_selfcheck_cell, specs, jobs=2) == serial
     try:
         stolen = run_cells_stolen(_selfcheck_cell, specs, jobs=2)
     except PoolUnavailable:
