@@ -15,11 +15,12 @@ kernel silently falls back to its pure-Python big-int scan.  Compiling,
 caching and loading are :mod:`repro.native`'s job; this module holds
 the C source, its :mod:`ctypes` binding and its smoke check.
 
-The C side works on flattened integer streams only — pattern cares as
-dense ``(terminal, symbol)`` ids in CSR layout, bus claims likewise — and
-returns the merge cycles as a flat member array plus cycle offsets.  All
-symbol/terminal semantics stay in Python; the C code never sees a pattern
-object.
+The C side works on integer columns only: the care and bus-claim CSR
+arrays of a :class:`~repro.sitest.pattern_set.PatternSet`, read in place
+through an index view's row array.  A small front end remaps the view's
+global keys to dense ids and runs the scan, which returns the merge
+cycles as a flat member array plus cycle offsets.  All symbol/terminal
+semantics stay in Python; the C code never sees a pattern object.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import ctypes
 from array import array
 
 from repro.native import NativeEngine
+from repro.sitest.pattern_set import PatternSet
 
 __all__ = ["available", "greedy_scan", "warm"]
 
@@ -200,20 +202,106 @@ int64_t repro_greedy_scan(
     stats_out[1] = words;
     return cycles;
 }
+
+/* The scan over an index view of a columnar pattern set.
+ *
+ * rows[0..n) name the view's patterns in the global care CSR
+ * (keys terminal * 4 + symbol, below care_space) and bus CSR (keys
+ * line * n_cores + driver, below bus_space).  Global keys are remapped
+ * to dense first-seen ids over the view, so the scan's masks cover only
+ * the keys the view uses; ids never affect the scan's result.  Members
+ * come back as view positions.
+ */
+int64_t repro_greedy_scan_rows(
+    int64_t n, const int32_t *rows,
+    const int32_t *care_keys, const int64_t *care_off, int64_t care_space,
+    const int32_t *bus_keys, const int64_t *bus_off, int64_t bus_space,
+    int64_t n_cores,
+    int32_t *members_out, int64_t *cycle_off_out, int64_t *stats_out)
+{
+    int64_t n_care = 0, n_bus = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t r = rows[i];
+        n_care += care_off[r + 1] - care_off[r];
+        n_bus += bus_off[r + 1] - bus_off[r];
+    }
+    const int64_t term_space = care_space >> 2;
+    const int64_t line_space = n_cores ? bus_space / n_cores + 1 : 1;
+    int32_t *care_flat = malloc((size_t)(n_care + 1) * 4);
+    int32_t *bus_flat = malloc((size_t)(n_bus + 1) * 4);
+    int64_t *care_loc = malloc((size_t)(n + 1) * 8);
+    int64_t *bus_loc = malloc((size_t)(n + 1) * 8);
+    int32_t *tid_of = malloc((size_t)(n_care + 1) * 4);
+    int32_t *line_of = malloc((size_t)(n_bus + 1) * 4);
+    int32_t *cid_map = malloc((size_t)(care_space + 1) * 4);
+    int32_t *tid_map = malloc((size_t)(term_space + 1) * 4);
+    int32_t *bid_map = malloc((size_t)(bus_space + 1) * 4);
+    int32_t *lid_map = malloc((size_t)(line_space + 1) * 4);
+    int64_t result = -1;
+    if (!care_flat || !bus_flat || !care_loc || !bus_loc || !tid_of ||
+        !line_of || !cid_map || !tid_map || !bid_map || !lid_map)
+        goto done;
+    memset(cid_map, 0xff, (size_t)(care_space + 1) * 4);
+    memset(tid_map, 0xff, (size_t)(term_space + 1) * 4);
+    memset(bid_map, 0xff, (size_t)(bus_space + 1) * 4);
+    memset(lid_map, 0xff, (size_t)(line_space + 1) * 4);
+
+    int32_t n_cids = 0, n_tids = 0, n_bids = 0, n_lids = 0;
+    int64_t kc = 0, kb = 0;
+    care_loc[0] = 0;
+    bus_loc[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t r = rows[i];
+        for (int64_t k = care_off[r]; k < care_off[r + 1]; k++) {
+            const int32_t key = care_keys[k];
+            int32_t cid = cid_map[key];
+            if (cid < 0) {
+                int32_t tid = tid_map[key >> 2];
+                if (tid < 0)
+                    tid = tid_map[key >> 2] = n_tids++;
+                cid = cid_map[key] = n_cids;
+                tid_of[n_cids++] = tid;
+            }
+            care_flat[kc++] = cid;
+        }
+        care_loc[i + 1] = kc;
+        for (int64_t k = bus_off[r]; k < bus_off[r + 1]; k++) {
+            const int32_t key = bus_keys[k];
+            int32_t bid = bid_map[key];
+            if (bid < 0) {
+                const int64_t line = key / n_cores;
+                int32_t lid = lid_map[line];
+                if (lid < 0)
+                    lid = lid_map[line] = n_lids++;
+                bid = bid_map[key] = n_bids;
+                line_of[n_bids++] = lid;
+            }
+            bus_flat[kb++] = bid;
+        }
+        bus_loc[i + 1] = kb;
+    }
+    result = repro_greedy_scan(
+        n, care_flat, care_loc, tid_of, n_cids, n_tids,
+        bus_flat, bus_loc, line_of, n_bids, n_lids,
+        members_out, cycle_off_out, stats_out);
+done:
+    free(care_flat); free(bus_flat); free(care_loc); free(bus_loc);
+    free(tid_of); free(line_of); free(cid_map); free(tid_map);
+    free(bid_map); free(lid_map);
+    return result;
+}
 """
 
 
 def _bind(lib):
-    fn = lib.repro_greedy_scan
+    fn = lib.repro_greedy_scan_rows
     fn.restype = ctypes.c_int64
     fn.argtypes = [
-        ctypes.c_int64,                    # n
-        ctypes.c_void_p, ctypes.c_void_p,  # care_flat, care_off
-        ctypes.c_void_p,                   # tid_of
-        ctypes.c_int64, ctypes.c_int64,    # n_care_ids, n_tids
-        ctypes.c_void_p, ctypes.c_void_p,  # bus_flat, bus_off
-        ctypes.c_void_p,                   # line_of
-        ctypes.c_int64, ctypes.c_int64,    # n_bus_ids, n_lines
+        ctypes.c_int64, ctypes.c_void_p,   # n, rows
+        ctypes.c_void_p, ctypes.c_void_p,  # care_keys, care_off
+        ctypes.c_int64,                    # care_space
+        ctypes.c_void_p, ctypes.c_void_p,  # bus_keys, bus_off
+        ctypes.c_int64, ctypes.c_int64,    # bus_space, n_cores
         ctypes.c_void_p, ctypes.c_void_p,  # members_out, cycle_off_out
         ctypes.c_void_p,                   # stats_out
     ]
@@ -224,16 +312,17 @@ def _addr(buffer: array) -> int:
     return buffer.buffer_info()[0]
 
 
-def _run(fn, n, care_flat, care_off, tid_of, n_care_ids, n_tids,
-         bus_flat, bus_off, line_of, n_bus_ids, n_lines):
+def _run(fn, view: PatternSet):
+    n = len(view)
+    rows = view.row_ids()
     members = array("i", bytes(4 * n))
     cycle_off = array("q", bytes(8 * (n + 1)))
     stats = array("q", (0, 0))
     cycles = fn(
-        n, _addr(care_flat), _addr(care_off), _addr(tid_of),
-        n_care_ids, n_tids,
-        _addr(bus_flat), _addr(bus_off), _addr(line_of),
-        n_bus_ids, n_lines,
+        n, _addr(rows),
+        _addr(view.care_keys), _addr(view.care_off), view.bases[-1] * 4,
+        _addr(view.bus_keys), _addr(view.bus_off), view.bus_key_space(),
+        len(view.cores),
         _addr(members), _addr(cycle_off), _addr(stats),
     )
     if cycles < 0:
@@ -247,18 +336,20 @@ def _run(fn, n, care_flat, care_off, tid_of, n_care_ids, n_tids,
 def _smoke(fn) -> bool:
     """One hand-rolled call guarding against ABI/layout mishaps.
 
-    Three patterns on one terminal: 0 and 1 assign different symbols
-    (mutual conflict), 2 assigns nothing.  The greedy scan must merge
-    {0, 2} and leave {1}, pruning pattern 1 from cycle 0.
+    Three patterns on one terminal, viewed in reverse order: pattern 2
+    and 1 assign different symbols (mutual conflict), 0 assigns nothing
+    and claims bus line 1.  The greedy scan over the view must merge view
+    positions {0, 2} and leave {1}, pruning position 1 from cycle 0, and
+    touch one word per first-seen terminal or line of a cycle.
     """
-    out = _run(
-        fn, 3,
-        array("i", (0, 1)), array("q", (0, 1, 2, 2)),   # care CSR
-        array("i", (0, 0)), 2, 1,                        # tid_of
-        array("i"), array("q", (0, 0, 0, 0)),            # bus CSR (empty)
-        array("i"), 0, 0,
+    view = PatternSet(
+        cores=(7,), bases=array("i", (0, 1)),
+        care_keys=array("i", (1, 0)), care_off=array("q", (0, 0, 1, 2)),
+        bus_keys=array("i", (1,)), bus_off=array("q", (0, 1, 1, 1)),
+        victims=array("i", (-1, -1, -1)), masks=array("Q", (0, 1, 1)),
+        rows=array("i", (2, 1, 0)),
     )
-    return out == ([[0, 2], [1]], 1, 2)
+    return _run(fn, view) == ([[0, 2], [1]], 1, 3)
 
 
 ENGINE = NativeEngine(
@@ -284,58 +375,15 @@ def warm() -> bool:
 def greedy_scan(patterns):
     """Run the greedy scan in C; ``None`` when the engine is unavailable.
 
+    ``patterns`` is a :class:`~repro.sitest.pattern_set.PatternSet` or
+    index view, read in place; any other sequence is encoded into one.
     Returns ``(member_lists, pruned, words)``: the merge cycles as lists
-    of original pattern indices in absorption order, plus the two
+    of pattern positions in absorption order, plus the two
     instrumentation totals (candidates pruned, 64-bit words touched).
     """
     if not available():
         return None
-    n = len(patterns)
-    if n == 0:
+    view = PatternSet.from_patterns(patterns)
+    if not len(view):
         return [], 0, 0
-    from repro.compaction.kernel import SYMBOL_IDS
-
-    symbol_ids = SYMBOL_IDS
-    terminal_ids: dict = {}
-    care_ids: dict[int, int] = {}
-    bus_ids: dict[tuple[int, int], int] = {}
-    line_ids: dict[int, int] = {}
-    tid_get = terminal_ids.get
-    cid_get = care_ids.get
-    bid_get = bus_ids.get
-    care_flat = array("i")
-    care_off = array("q", (0,))
-    bus_flat = array("i")
-    bus_off = array("q", (0,))
-    tid_of = array("i")
-    line_of = array("i")
-    care_append = care_flat.append
-    bus_append = bus_flat.append
-    for pattern in patterns:
-        for terminal, symbol in pattern.cares.items():
-            tid = tid_get(terminal)
-            if tid is None:
-                tid = terminal_ids[terminal] = len(terminal_ids)
-            key = tid * 4 + symbol_ids[symbol]
-            cid = cid_get(key)
-            if cid is None:
-                cid = care_ids[key] = len(care_ids)
-                tid_of.append(tid)
-            care_append(cid)
-        care_off.append(len(care_flat))
-        for claim in pattern.bus_claims.items():
-            bid = bid_get(claim)
-            if bid is None:
-                bid = bus_ids[claim] = len(bus_ids)
-                line = claim[0]
-                lid = line_ids.get(line)
-                if lid is None:
-                    lid = line_ids[line] = len(line_ids)
-                line_of.append(lid)
-            bus_append(bid)
-        bus_off.append(len(bus_flat))
-    return _run(
-        ENGINE.handle, n,
-        care_flat, care_off, tid_of, len(care_ids), len(terminal_ids),
-        bus_flat, bus_off, line_of, len(bus_ids), len(line_ids),
-    )
+    return _run(ENGINE.handle, view)

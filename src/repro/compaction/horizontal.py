@@ -7,11 +7,20 @@ of the SI patterns weighted by how many patterns share that care set.
 Patterns whose care cores all fall into one part only need to shift that
 part's WOCs; the rest form a *residual* group whose patterns keep the full
 length (all cores).  Vertical compaction then runs inside every group.
+
+The pattern set is read in columnar form
+(:class:`~repro.sitest.pattern_set.PatternSet`; a plain list is encoded
+once): hyperedges come from the per-pattern care-core masks, each
+distinct mask is routed once, and every group's bucket is an index view
+over the shared columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 from repro.compaction.groups import SITestGroup
 from repro.compaction.vertical import CompactionResult, greedy_compact
@@ -24,6 +33,7 @@ from repro.runtime.instrumentation import (
     get_instrumentation,
     incr,
 )
+from repro.sitest.pattern_set import PatternSet
 from repro.sitest.patterns import SIPattern
 from repro.soc.model import Soc
 
@@ -54,14 +64,20 @@ class GroupingResult:
 
 
 def _vertical_cell(spec):
-    """Sweep cell: vertical compaction of one group's pattern bucket."""
+    """Sweep cell: vertical compaction of one group's pattern bucket.
+
+    The result travels without its source; the caller re-attaches the
+    bucket it already holds."""
     bucket, backend = spec
-    return call_with_instrumentation(greedy_compact, bucket, backend=backend)
+    compaction, snapshot = call_with_instrumentation(
+        greedy_compact, bucket, backend=backend
+    )
+    return replace(compaction, source=()), snapshot
 
 
 def build_si_test_groups(
     soc: Soc,
-    patterns: list[SIPattern],
+    patterns: Sequence[SIPattern],
     parts: int,
     epsilon: float = 0.10,
     seed: int = 0,
@@ -97,7 +113,7 @@ def build_si_test_groups(
 
 def _build_si_test_groups(
     soc: Soc,
-    patterns: list[SIPattern],
+    patterns: Sequence[SIPattern],
     parts: int,
     epsilon: float,
     seed: int,
@@ -111,36 +127,48 @@ def _build_si_test_groups(
             "with output cells"
         )
 
+    pattern_set = PatternSet.from_patterns(patterns)
+    masks = pattern_set.care_masks()
+    # care-core set and pattern count per distinct care mask, in
+    # first-seen order (Counter keeps insertion order)
+    care_sets = {
+        mask: (pattern_set.mask_cores(mask), weight)
+        for mask, weight in Counter(masks).items()
+    }
+
     if parts == 1:
         part_of_core = {core_id: 0 for core_id in host_ids}
     else:
-        part_of_core = _partition_cores(soc, patterns, host_ids, parts,
+        part_of_core = _partition_cores(soc, care_sets, host_ids, parts,
                                         epsilon, seed)
 
-    # Route each pattern to its part, or to the residual bucket.
-    buckets: list[list[SIPattern]] = [[] for _ in range(parts)]
-    residual: list[SIPattern] = []
-    for pattern in patterns:
-        pattern_parts = {part_of_core[core_id] for core_id in pattern.care_cores}
-        if len(pattern_parts) == 1:
-            buckets[next(iter(pattern_parts))].append(pattern)
-        else:
-            residual.append(pattern)
+    # Route each care set to its part, or to the residual bucket (index
+    # ``parts``), then each pattern by its mask.
+    route = {}
+    for mask, (core_ids, _weight) in care_sets.items():
+        owners = {part_of_core[core_id] for core_id in core_ids}
+        route[mask] = owners.pop() if len(owners) == 1 else parts
+    rows = [array("i") for _ in range(parts + 1)]
+    add = [bucket_rows.append for bucket_rows in rows]
+    for index, mask in enumerate(masks):
+        add[route[mask]](index)
 
     # One cell per non-empty bucket (part groups in order, residual last);
     # groups are independent, so they fan out over worker processes.
-    cells: list[tuple[list[SIPattern], frozenset[int], bool]] = []
+    cells: list[tuple[PatternSet, frozenset[int], bool]] = []
     for part in range(parts):
-        bucket = buckets[part]
-        if not bucket:
+        if not rows[part]:
             continue
         cores = frozenset(
             core_id for core_id, assigned in part_of_core.items()
             if assigned == part
         )
-        cells.append((bucket, cores, False))
+        cells.append((pattern_set.select(rows[part]), cores, False))
+    residual = len(rows[parts])
     if residual:
-        cells.append((residual, frozenset(host_ids), True))
+        cells.append(
+            (pattern_set.select(rows[parts]), frozenset(host_ids), True)
+        )
 
     outcomes = run_cells(
         _vertical_cell,
@@ -163,39 +191,44 @@ def _build_si_test_groups(
                 is_residual=is_residual,
             )
         )
-        compactions.append(compaction)
+        compactions.append(replace(compaction, source=bucket))
 
     incr("compaction.groupings")
-    incr("compaction.patterns_in", len(patterns))
+    incr("compaction.patterns_in", len(pattern_set))
     incr("compaction.patterns_out",
          sum(group.patterns for group in groups))
-    incr("compaction.residual_patterns", len(residual))
+    incr("compaction.residual_patterns", residual)
     return GroupingResult(
         groups=tuple(groups),
         part_of_core=part_of_core,
-        cut_patterns=len(residual),
+        cut_patterns=residual,
         compactions=tuple(compactions),
     )
 
 
 def _partition_cores(
     soc: Soc,
-    patterns: list[SIPattern],
+    care_sets: dict[int, tuple[list[int], int]],
     host_ids: list[int],
     parts: int,
     epsilon: float,
     seed: int,
 ) -> dict[int, int]:
     """Partition the cores with output cells into ``parts`` balanced groups
-    minimizing the weight of cut care-core sets (Fig. 2)."""
+    minimizing the weight of cut care-core sets (Fig. 2).
+
+    ``care_sets`` maps each distinct care mask to its core ids and
+    pattern count, in first-seen order: every set of two or more cores is
+    one hyperedge weighted by its count, in that order.
+    """
     index_of = {core_id: index for index, core_id in enumerate(host_ids)}
     vertex_weights = [soc.core_by_id(core_id).woc_count for core_id in host_ids]
 
     weighted_edges: dict[frozenset[int], int] = {}
-    for pattern in patterns:
-        care = frozenset(index_of[core_id] for core_id in pattern.care_cores)
+    for core_ids, weight in care_sets.values():
+        care = frozenset(index_of[core_id] for core_id in core_ids)
         if len(care) >= 2:
-            weighted_edges[care] = weighted_edges.get(care, 0) + 1
+            weighted_edges[care] = weight
 
     graph = build_hypergraph(vertex_weights, weighted_edges)
     result = partition(graph, parts, epsilon=epsilon, seed=seed)

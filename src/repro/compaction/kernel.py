@@ -40,12 +40,11 @@ argument.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 
 from repro.runtime.instrumentation import incr
+from repro.sitest.pattern_set import SYMBOL_IDS, PatternSet
 from repro.sitest.patterns import SIPattern, Terminal
-
-#: Symbol id per care symbol; bit 0 / bit 1 land in plane0 / plane1.
-SYMBOL_IDS = {"0": 0, "1": 1, "R": 2, "F": 3}
 
 #: ``backend="auto"`` picks the bitset kernel at or above these pattern
 #: counts.  Below them the packed index costs more than it saves; the
@@ -94,43 +93,27 @@ class PackedPatternSet:
         self.bus_claim: dict[tuple[int, int], int] = bus_claim
 
     @classmethod
-    def from_patterns(cls, patterns: list[SIPattern]) -> "PackedPatternSet":
+    def from_patterns(cls, patterns: Sequence[SIPattern]) -> "PackedPatternSet":
         """Encode ``patterns`` into terminal planes and bus claim masks."""
-        n = len(patterns)
-        top = n - 1
+        view = PatternSet.from_patterns(patterns)
+        n = len(view)
+        _keys, _claims, occ, occ_bus = _occurrences(view)
+        to_int = _bit_packer(n)
+        terminals = view.terminals()
+        # dense terminal ids in first-seen order (occ keeps key order)
+        global_tids: dict[int, int] = {}
         terminal_ids: dict[Terminal, int] = {}
-        # occurrence lists of reversed indices, keyed tid * 4 + symbol id
-        occ: defaultdict[int, list[int]] = defaultdict(list)
-        occ_bus: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-        symbol_ids = SYMBOL_IDS
-        tid_get = terminal_ids.get
-        rev = n
-        for pattern in patterns:
-            rev -= 1
-            for terminal, symbol in pattern.cares.items():
-                tid = tid_get(terminal)
-                if tid is None:
-                    tid = terminal_ids[terminal] = len(terminal_ids)
-                occ[tid * 4 + symbol_ids[symbol]].append(rev)
-            for claim in pattern.bus_claims.items():
-                occ_bus[claim].append(rev)
-
-        scratch = bytearray((n >> 3) + 1)
-
-        def to_int(indices: list[int]) -> int:
-            for i in indices:
-                scratch[i >> 3] |= 1 << (i & 7)
-            value = int.from_bytes(scratch, "little")
-            for i in indices:
-                scratch[i >> 3] = 0
-            return value
+        for key in occ:
+            if key >> 2 not in global_tids:
+                global_tids[key >> 2] = len(global_tids)
+                terminal_ids[terminals[key >> 2]] = len(terminal_ids)
 
         count = len(terminal_ids)
         care = [0] * count
         plane0 = [0] * count
         plane1 = [0] * count
-        for tid in range(count):
-            base = tid * 4
+        for global_tid, tid in global_tids.items():
+            base = global_tid * 4
             slices = [occ.get(base + sid) for sid in range(4)]
             present = [sid for sid in range(4) if slices[sid]]
             if len(present) == 1:
@@ -155,7 +138,11 @@ class PackedPatternSet:
             plane0[tid] = to_int(low) if low else 0
             plane1[tid] = to_int(high) if high else 0
 
-        bus_claim = {claim: to_int(ix) for claim, ix in occ_bus.items()}
+        cores = len(view.cores)
+        bus_claim = {
+            (key // cores, view.cores[key % cores]): to_int(indices)
+            for key, indices in occ_bus.items()
+        }
         bus_total: dict[int, int] = {}
         for (line, _driver), mask in bus_claim.items():
             # claims of one line are disjoint (one driver per pattern)
@@ -219,45 +206,36 @@ class PackedPatternSet:
         return conflicts, bus_conflicts
 
 
-def _greedy_conflict_index(patterns: list[SIPattern]):
-    """Conflict index plus per-pattern flat key lists for the greedy scan.
+def _occurrences(view: PatternSet):
+    """One pass over a view's columns for the bitset encodings.
 
-    The greedy kernel only consumes conflict masks, never the symbol
-    planes, so this skips :class:`PackedPatternSet`'s plane composition:
-    each present ``(terminal, symbol)`` occurrence list packs straight
-    into its occupancy mask, the per-terminal care total is the exact sum
-    of its (disjoint) symbol slices, and ``conflict = total - mask``.
-
-    The same pass records each pattern's cares as a flat list of int keys
-    (``tid * 4 + symbol_id``), so the hot scan needs no tuple hashing at
-    all: terminal-level dedup is ``key >> 2`` against a set of ints, and
-    the conflict lookup is one int-keyed dict probe.
-
-    Returns ``(care_keys, conflicts, bus_conflicts)``.
+    Returns ``(keys_of, claims_of, occ, occ_bus)``: per view position its
+    care keys and bus keys, and per key the list of *reversed* positions
+    (``n - 1 - i``) holding it, keys in first-seen order.
     """
-    n = len(patterns)
-    terminal_ids: dict[Terminal, int] = {}
+    n = len(view)
+    care_keys, care_off = view.care_keys, view.care_off
+    bus_keys, bus_off = view.bus_keys, view.bus_off
+    keys_of: list = []
+    claims_of: list = []
     occ: defaultdict[int, list[int]] = defaultdict(list)
-    occ_bus: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-    care_keys: list[list[int]] = []
-    symbol_ids = SYMBOL_IDS
-    tid_get = terminal_ids.get
+    occ_bus: defaultdict[int, list[int]] = defaultdict(list)
     rev = n
-    for pattern in patterns:
+    for row in view.row_ids():
         rev -= 1
-        keys = []
-        append = keys.append
-        for terminal, symbol in pattern.cares.items():
-            tid = tid_get(terminal)
-            if tid is None:
-                tid = terminal_ids[terminal] = len(terminal_ids)
-            key = tid * 4 + symbol_ids[symbol]
+        keys = care_keys[care_off[row]:care_off[row + 1]]
+        for key in keys:
             occ[key].append(rev)
-            append(key)
-        care_keys.append(keys)
-        for claim in pattern.bus_claims.items():
+        keys_of.append(keys)
+        claims = bus_keys[bus_off[row]:bus_off[row + 1]]
+        for claim in claims:
             occ_bus[claim].append(rev)
+        claims_of.append(claims)
+    return keys_of, claims_of, occ, occ_bus
 
+
+def _bit_packer(n: int):
+    """``to_int(indices)``: the n-bit mask with those bits set."""
     scratch = bytearray((n >> 3) + 1)
 
     def to_int(indices: list[int]) -> int:
@@ -268,27 +246,11 @@ def _greedy_conflict_index(patterns: list[SIPattern]):
             scratch[i >> 3] = 0
         return value
 
-    masks = {key: to_int(indices) for key, indices in occ.items()}
-    totals = [0] * len(terminal_ids)
-    for key, mask in masks.items():
-        # a terminal's per-symbol occupancy masks are disjoint, so plain
-        # addition composes the exact care total
-        totals[key >> 2] += mask
-    conflicts = {key: totals[key >> 2] - mask for key, mask in masks.items()}
-
-    bus_claim = {claim: to_int(indices) for claim, indices in occ_bus.items()}
-    bus_total: dict[int, int] = {}
-    for (line, _driver), mask in bus_claim.items():
-        # claims of one line are disjoint (one driver per pattern)
-        bus_total[line] = bus_total.get(line, 0) + mask
-    bus_conflicts = {
-        claim: bus_total[claim[0]] - mask
-        for claim, mask in bus_claim.items()
-    }
-    return care_keys, conflicts, bus_conflicts
+    return to_int
 
 
-def greedy_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
+def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
+                          verify: bool = False):
     """Greedy clique-cover compaction on the packed encoding.
 
     Bit-identical to :func:`repro.compaction.vertical.greedy_compact` with
@@ -301,6 +263,11 @@ def greedy_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
     Equivalence holds because a pattern incompatible with the merge stays
     incompatible for the rest of the cycle (merges only gain cares) and
     the top-bit extraction yields exactly the reference's visit order.
+
+    Both scan engines read the columns of a
+    :class:`~repro.sitest.pattern_set.PatternSet` (or index view); a plain
+    list is encoded into one first.  The merged patterns are built only
+    when :attr:`CompactionResult.compacted` is read.
 
     Args:
         patterns: The patterns to compact.
@@ -316,52 +283,57 @@ def greedy_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
     from repro.compaction import _cscan
     from repro.compaction.vertical import CompactionResult
 
-    n = len(patterns)
-    scanned = _cscan.greedy_scan(patterns)
+    view = PatternSet.from_patterns(patterns)
+    scanned = _cscan.greedy_scan(view)
     if scanned is not None:
         incr("compaction.bitset.cscan")
         member_lists, pruned, words = scanned
     else:
-        member_lists, pruned, words = _greedy_scan_python(patterns)
+        member_lists, pruned, words = _greedy_scan_python(view)
     incr("compaction.bitset.candidates_pruned", pruned)
     incr("compaction.bitset.words_compared", words)
-
-    compacted: list[SIPattern] = []
-    members: list[tuple[int, ...]] = []
-    for absorbed in member_lists:
-        # rebuild the merged dicts at C speed: update() keeps first-seen
-        # key order and compatible merges only re-store equal values, so
-        # this reproduces the reference's incremental dicts exactly
-        seed = patterns[absorbed[0]]
-        cares = dict(seed.cares)
-        bus_claims = dict(seed.bus_claims)
-        for index in absorbed[1:]:
-            follower = patterns[index]
-            cares.update(follower.cares)
-            bus_claims.update(follower.bus_claims)
-        compacted.append(SIPattern(cares=cares, bus_claims=bus_claims))
-        members.append(tuple(absorbed))
     result = CompactionResult(
-        compacted=tuple(compacted),
-        members=tuple(members),
-        original_count=n,
+        members=tuple(tuple(absorbed) for absorbed in member_lists),
+        original_count=len(view),
+        source=patterns,
     )
     if verify:
         _check_against_reference("greedy", patterns, result)
     return result
 
 
-def _greedy_scan_python(patterns: list[SIPattern]):
+def _greedy_scan_python(patterns: Sequence[SIPattern]):
     """Pure-Python greedy scan on big-int bitsets.
 
     The fallback engine when :mod:`repro.compaction._cscan` has no C
     compiler to work with — same cycles, same counters (``words`` is an
     approximation in both engines and counts slightly differently).
+    It reads the same column views as the C engine: care keys
+    (``terminal_id * 4 + symbol_id``) dedup per terminal as ``key >> 2``,
+    bus keys (``line * cores + driver``) per line as ``key // cores``.
     Returns ``(member_lists, pruned, words)``.
     """
-    n = len(patterns)
-    care_keys, conflicts, bus_conflicts = _greedy_conflict_index(patterns)
+    view = PatternSet.from_patterns(patterns)
+    n = len(view)
+    cores = len(view.cores)
     top = n - 1
+    keys_of, claims_of, occ, occ_bus = _occurrences(view)
+    to_int = _bit_packer(n)
+
+    def conflict_index(occurrences, group_of):
+        masks = {key: to_int(indices) for key, indices in occurrences.items()}
+        totals: dict[int, int] = {}
+        for key, mask in masks.items():
+            # the occupancy masks of one terminal (line) are disjoint, so
+            # plain addition composes the exact total
+            group = group_of(key)
+            totals[group] = totals.get(group, 0) + mask
+        return {key: totals[group_of(key)] - mask
+                for key, mask in masks.items()}
+
+    conflicts = conflict_index(occ, lambda key: key >> 2)
+    bus_conflicts = conflict_index(occ_bus, lambda key: key // cores)
+
     member_lists: list[list[int]] = []
     scratch = bytearray((n >> 3) + 1)
     avail = (1 << n) - 1 if n else 0
@@ -379,7 +351,7 @@ def _greedy_scan_python(patterns: list[SIPattern]):
         absorbed = [start]
         eligible = avail
         newconf = 0
-        for key in care_keys[start]:
+        for key in keys_of[start]:
             tid_add(key >> 2)
             conflict = conflicts[key]
             if conflict:
@@ -389,8 +361,8 @@ def _greedy_scan_python(patterns: list[SIPattern]):
                     newconf |= conflict
                 else:
                     newconf = conflict
-        for claim in patterns[start].bus_claims.items():
-            line_add(claim[0])
+        for claim in claims_of[start]:
+            line_add(claim // cores)
             conflict = bus_conflicts[claim]
             if conflict:
                 if newconf:
@@ -411,7 +383,7 @@ def _greedy_scan_python(patterns: list[SIPattern]):
             index = top - rev
             absorbed.append(index)
             newconf = 0
-            for key in care_keys[index]:
+            for key in keys_of[index]:
                 tid = key >> 2
                 if tid not in merged_tids:
                     tid_add(tid)
@@ -421,9 +393,10 @@ def _greedy_scan_python(patterns: list[SIPattern]):
                             newconf |= conflict
                         else:
                             newconf = conflict
-            for claim in patterns[index].bus_claims.items():
-                if claim[0] not in merged_lines:
-                    line_add(claim[0])
+            for claim in claims_of[index]:
+                line = claim // cores
+                if line not in merged_lines:
+                    line_add(line)
                     conflict = bus_conflicts[claim]
                     if conflict:
                         if newconf:
@@ -512,12 +485,12 @@ def color_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
 
     incr("compaction.bitset.words_compared", words)
     result = CompactionResult(
-        compacted=tuple(
+        members=tuple(tuple(sorted(members)) for members in classes),
+        original_count=n,
+        merged=tuple(
             SIPattern(cares=merged_cares[c], bus_claims=merged_bus[c])
             for c in range(len(classes))
         ),
-        members=tuple(tuple(sorted(members)) for members in classes),
-        original_count=n,
     )
     if verify:
         _check_against_reference("color", patterns, result)

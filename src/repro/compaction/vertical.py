@@ -22,7 +22,9 @@ affects speed, and is recorded in the ``compaction.backend.*`` counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.runtime.instrumentation import incr
 from repro.sitest.patterns import SIPattern
@@ -30,31 +32,70 @@ from repro.sitest.patterns import SIPattern
 BACKENDS = ("auto", "reference", "bitset")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactionResult:
     """Outcome of a vertical compaction run.
 
     Attributes:
-        compacted: The merged patterns.
-        members: For each merged pattern, indices (into the input list) of
-            the original patterns it absorbed.
+        members: For each merged pattern, indices (into the input
+            sequence) of the original patterns it absorbed.
         original_count: Number of input patterns.
+        source: The input sequence, for building merged patterns.
+        merged: The merged patterns, when the compactor built them while
+            it ran; otherwise :attr:`compacted` builds them from
+            ``source`` on first use.
     """
 
-    compacted: tuple[SIPattern, ...]
     members: tuple[tuple[int, ...], ...]
     original_count: int
+    source: Sequence[SIPattern] = field(default=(), repr=False)
+    merged: tuple[SIPattern, ...] | None = field(default=None, repr=False)
+
+    @cached_property
+    def compacted(self) -> tuple[SIPattern, ...]:
+        """The merged patterns, one per entry of :attr:`members`.
+
+        Merging the members in absorption order with ``dict.update``
+        keeps first-seen key order, and compatible members only re-store
+        equal values, so this equals the incrementally merged dicts of
+        the greedy scan.
+        """
+        if self.merged is not None:
+            return self.merged
+        source = self.source
+        compacted = []
+        for absorbed in self.members:
+            seed = source[absorbed[0]]
+            cares = dict(seed.cares)
+            bus_claims = dict(seed.bus_claims)
+            for index in absorbed[1:]:
+                follower = source[index]
+                cares.update(follower.cares)
+                bus_claims.update(follower.bus_claims)
+            compacted.append(SIPattern(cares=cares, bus_claims=bus_claims))
+        return tuple(compacted)
 
     @property
     def compacted_count(self) -> int:
-        return len(self.compacted)
+        return len(self.members)
 
     @property
     def ratio(self) -> float:
         """Compaction ratio ``original / compacted`` (1.0 for empty input)."""
-        if not self.compacted:
+        if not self.members:
             return 1.0
-        return self.original_count / len(self.compacted)
+        return self.original_count / len(self.members)
+
+    def __eq__(self, other):
+        if not isinstance(other, CompactionResult):
+            return NotImplemented
+        return (
+            self.members == other.members
+            and self.original_count == other.original_count
+            and self.compacted == other.compacted
+        )
+
+    __hash__ = None
 
 
 def _resolve_backend(backend: str, count: int, threshold: int) -> str:
@@ -69,7 +110,7 @@ def _resolve_backend(backend: str, count: int, threshold: int) -> str:
 
 
 def greedy_compact(
-    patterns: list[SIPattern], backend: str = "auto"
+    patterns: Sequence[SIPattern], backend: str = "auto"
 ) -> CompactionResult:
     """Compact ``patterns`` with the paper's greedy clique-cover heuristic.
 
@@ -99,7 +140,8 @@ def greedy_compact(
     return result
 
 
-def _greedy_reference(patterns: list[SIPattern]) -> CompactionResult:
+def _greedy_reference(patterns: Sequence[SIPattern]) -> CompactionResult:
+    patterns = list(patterns)
     n = len(patterns)
     used = bytearray(n)
     compacted: list[SIPattern] = []
@@ -141,14 +183,14 @@ def _greedy_reference(patterns: list[SIPattern]) -> CompactionResult:
         members.append(tuple(absorbed))
 
     return CompactionResult(
-        compacted=tuple(compacted),
         members=tuple(members),
         original_count=n,
+        merged=tuple(compacted),
     )
 
 
 def color_compact(
-    patterns: list[SIPattern], backend: str = "auto"
+    patterns: Sequence[SIPattern], backend: str = "auto"
 ) -> CompactionResult:
     """Compact via greedy coloring of the conflict graph (Welsh–Powell).
 
@@ -174,7 +216,8 @@ def color_compact(
     return result
 
 
-def _color_reference(patterns: list[SIPattern]) -> CompactionResult:
+def _color_reference(patterns: Sequence[SIPattern]) -> CompactionResult:
+    patterns = list(patterns)
     n = len(patterns)
     conflicts: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
@@ -212,12 +255,11 @@ def _color_reference(patterns: list[SIPattern]) -> CompactionResult:
         merged_cares[chosen].update(pattern.cares)
         merged_bus[chosen].update(pattern.bus_claims)
 
-    compacted = tuple(
-        SIPattern(cares=merged_cares[c], bus_claims=merged_bus[c])
-        for c in range(len(classes))
-    )
     return CompactionResult(
-        compacted=compacted,
         members=tuple(tuple(sorted(members)) for members in classes),
         original_count=n,
+        merged=tuple(
+            SIPattern(cares=merged_cares[c], bus_claims=merged_bus[c])
+            for c in range(len(classes))
+        ),
     )

@@ -115,7 +115,13 @@ class SharedStateStore:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.state")
 
-    def get(self, key: str):
+    def get(self, key: str, accept=None):
+        """The value stored under ``key``, or ``None``.
+
+        ``accept(value)``, when given, vets the value: a rejected one
+        (say, written by older code in an older format) counts as
+        ``statecache.stale`` and reads as ``None``.
+        """
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -134,6 +140,9 @@ class SharedStateStore:
             value = pickle.loads(payload)
         except Exception:
             incr("statecache.corrupt")
+            return None
+        if accept is not None and not accept(value):
+            incr("statecache.stale")
             return None
         incr("statecache.disk_hits")
         return value
@@ -164,11 +173,15 @@ class SharedStateStore:
         incr("statecache.stores")
 
 
-def cell_state(key: str, factory, store_dir: str | None = None):
+def cell_state(key: str, factory, store_dir: str | None = None,
+               accept=None):
     """Resolve warm cell state: memo, then shared store, then ``factory``.
 
     ``factory`` must be deterministic — the cache is an accelerator, never
     a source of truth, so a hit and a recompute are interchangeable.
+    ``accept`` vets values read from the store (see
+    :meth:`SharedStateStore.get`); a rejected one is recomputed and
+    overwritten, never returned.
     """
     value = _MEMO.get(key)
     if value is not None:
@@ -176,7 +189,7 @@ def cell_state(key: str, factory, store_dir: str | None = None):
         return value
     store = SharedStateStore(store_dir) if store_dir else None
     if store is not None:
-        value = store.get(key)
+        value = store.get(key, accept)
     if value is None:
         incr("statecache.misses")
         value = factory()
@@ -215,8 +228,14 @@ class PatternsRef:
 
 
 def resolve_patterns(soc, ref: PatternsRef):
-    """Materialize ``ref`` through the warm state cache."""
+    """Materialize ``ref`` through the warm state cache.
+
+    The value is a :class:`~repro.sitest.pattern_set.PatternSet`; a store
+    entry in any other form (older code stored a pattern list under the
+    same key) is stale and regenerated.
+    """
     from repro.sitest.generator import generate_random_patterns
+    from repro.sitest.pattern_set import PatternSet
 
     def generate():
         incr("statecache.patterns_generated")
@@ -224,7 +243,8 @@ def resolve_patterns(soc, ref: PatternsRef):
             soc, ref.count, seed=ref.seed, config=ref.config
         )
 
-    return cell_state(ref.fingerprint, generate, store_dir=ref.store_dir)
+    return cell_state(ref.fingerprint, generate, store_dir=ref.store_dir,
+                      accept=PatternSet.is_current)
 
 
 def warm_engines() -> dict:

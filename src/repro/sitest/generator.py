@@ -16,9 +16,11 @@ The construction is fully deterministic for a given seed.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
 from repro.soc.model import Soc
+from repro.sitest.pattern_set import PatternSet, mask_column
 from repro.sitest.patterns import SIPattern, SYMBOLS, TRANSITIONS
 
 
@@ -56,10 +58,23 @@ def generate_random_patterns(
     count: int,
     seed: int = 0,
     config: GeneratorConfig = GeneratorConfig(),
-) -> list[SIPattern]:
+) -> PatternSet:
     """Generate ``count`` random SI test patterns for ``soc``.
 
     Cores without output cells can be neither victims nor aggressor hosts.
+    The patterns are written straight into a columnar
+    :class:`~repro.sitest.pattern_set.PatternSet` laid out over those
+    cores; it reads as a ``Sequence[SIPattern]``.
+
+    Per pattern the draws are, in order: the victim core and terminal and
+    its symbol; ``N_a``; the external aggressor count (only with more
+    than one host); the internal aggressors, as a sample of the victim
+    core's other terminals, each with a transition; each external
+    aggressor's host, terminal and (unless it repeats an earlier one)
+    transition; and the bus postfix.  Every draw goes through
+    ``Random._randbelow`` exactly as ``choice``, ``randrange``,
+    ``randint`` and ``sample`` would make it, so a seed's patterns never
+    depend on how they are stored.
 
     Raises:
         ValueError: If the SOC has no core with output cells or ``count``
@@ -73,10 +88,81 @@ def generate_random_patterns(
     if not hosts:
         raise ValueError(f"SOC {soc.name} has no cores with output cells")
 
-    patterns = []
+    host_count = len(hosts)
+    wocs = [core.woc_count for core in hosts]
+    bases = array("i", (0,))
+    for woc in wocs:
+        bases.append(bases[-1] + woc)
+    # sampling range(woc - 1) and skipping the victim index draws exactly
+    # what sampling the list of the victim's other terminals would
+    spare = [range(woc - 1) for woc in wocs]
+    others = [
+        [q for q in range(host_count) if q != p] for p in range(host_count)
+    ]
+
+    care_keys = array("i")
+    care_off = array("q", (0,))
+    bus_keys = array("i")
+    bus_off = array("q", (0,))
+    victims = array("i")
+    masks = mask_column(host_count)
+    care_add = care_keys.append
+    bus_add = bus_keys.append
+
+    randbelow = rng._randbelow
+    sample = rng.sample
+    uniform = rng.random
+    min_aggressors = config.min_aggressors
+    aggressor_span = config.max_aggressors - min_aggressors + 1
+    external_cap = config.max_external_aggressors
+    bus_width = config.bus_width
+    bus_probability = config.bus_probability
+    bus_lines = range(bus_width)
+
     for _ in range(count):
-        patterns.append(_random_pattern(rng, hosts, config))
-    return patterns
+        v = randbelow(host_count)
+        base = bases[v]
+        victim_index = randbelow(wocs[v])
+        victim = base + victim_index
+        care_add(victim * 4 + randbelow(4))
+
+        total = min_aggressors + randbelow(aggressor_span)
+        if host_count > 1:
+            external = randbelow(min(external_cap, total) + 1)
+        else:
+            external = 0
+        pool = spare[v]
+        for x in sample(pool, min(total - external, len(pool))):
+            if x >= victim_index:
+                x += 1
+            care_add((base + x) * 4 + 2 + randbelow(2))
+
+        mask = 1 << v
+        if external:
+            candidates = others[v]
+            seen = []
+            for _ in range(external):
+                host = candidates[randbelow(len(candidates))]
+                terminal = bases[host] + randbelow(wocs[host])
+                mask |= 1 << host
+                if terminal not in seen:
+                    seen.append(terminal)
+                    care_add(terminal * 4 + 2 + randbelow(2))
+
+        if bus_width and uniform() < bus_probability:
+            occupied = 1 + randbelow(min(total, bus_width))
+            for line in sample(bus_lines, occupied):
+                bus_add(line * host_count + v)
+
+        care_off.append(len(care_keys))
+        bus_off.append(len(bus_keys))
+        victims.append(victim)
+        masks.append(mask)
+
+    return PatternSet(
+        [core.core_id for core in hosts], bases, care_keys, care_off,
+        bus_keys, bus_off, victims, masks,
+    )
 
 
 def generate_topology_patterns(
@@ -140,44 +226,3 @@ def generate_topology_patterns(
                       victim=victim_net.driver)
         )
     return patterns
-
-
-def _random_pattern(
-    rng: random.Random,
-    hosts: list,
-    config: GeneratorConfig,
-) -> SIPattern:
-    victim_core = rng.choice(hosts)
-    victim_index = rng.randrange(victim_core.woc_count)
-    victim = (victim_core.core_id, victim_index)
-    cares = {victim: rng.choice(SYMBOLS)}
-
-    total_aggressors = rng.randint(config.min_aggressors, config.max_aggressors)
-    external_limit = min(config.max_external_aggressors, total_aggressors)
-    external_count = rng.randint(0, external_limit) if len(hosts) > 1 else 0
-    internal_count = total_aggressors - external_count
-
-    # Aggressors inside the victim core boundary (other output terminals).
-    internal_candidates = [
-        index for index in range(victim_core.woc_count) if index != victim_index
-    ]
-    for index in rng.sample(
-        internal_candidates, min(internal_count, len(internal_candidates))
-    ):
-        cares[(victim_core.core_id, index)] = rng.choice(TRANSITIONS)
-
-    # Aggressors outside the victim core boundary.
-    other_hosts = [core for core in hosts if core.core_id != victim_core.core_id]
-    for _ in range(external_count):
-        host = rng.choice(other_hosts)
-        terminal = (host.core_id, rng.randrange(host.woc_count))
-        if terminal not in cares:
-            cares[terminal] = rng.choice(TRANSITIONS)
-
-    bus_claims = {}
-    if config.bus_width and rng.random() < config.bus_probability:
-        occupied = rng.randint(1, min(total_aggressors, config.bus_width))
-        for line in rng.sample(range(config.bus_width), occupied):
-            bus_claims[line] = victim_core.core_id
-
-    return SIPattern(cares=cares, bus_claims=bus_claims, victim=victim)

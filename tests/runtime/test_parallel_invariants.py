@@ -25,18 +25,25 @@ def serial_table(d695):
     )
 
 
+def _assert_same_table(table, serial_table):
+    assert render_table(table) == render_table(serial_table)
+    # elapsed_seconds legitimately differs; everything else must not.
+    serial_dict = result_to_dict(serial_table)
+    table_dict = result_to_dict(table)
+    serial_dict.pop("elapsed_seconds", None)
+    table_dict.pop("elapsed_seconds", None)
+    assert table_dict == serial_dict
+
+
 class TestParallelEqualsSerial:
+    """The work-stealing workers (``jobs=2``) are invisible with the
+    per-process state cache warm from the serial run."""
+
     def test_table_rows_byte_identical(self, d695, serial_table):
         parallel = run_table_experiment(
             d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED, jobs=2
         )
-        assert render_table(parallel) == render_table(serial_table)
-        # elapsed_seconds legitimately differs; everything else must not.
-        serial_dict = result_to_dict(serial_table)
-        parallel_dict = result_to_dict(parallel)
-        serial_dict.pop("elapsed_seconds", None)
-        parallel_dict.pop("elapsed_seconds", None)
-        assert parallel_dict == serial_dict
+        _assert_same_table(parallel, serial_table)
 
     def test_pareto_curve_identical(self, d695):
         serial = sweep_widths(d695, WIDTHS, jobs=1)
@@ -50,29 +57,24 @@ class TestParallelEqualsSerial:
 
 
 class TestWorkersBackendEqualsSerial:
-    """The work-stealing workers (``jobs=2``) must be invisible too, on
-    resumed runs and with a cold per-process state cache."""
+    """The same invariants with a cold per-process state cache (each
+    ``jobs=2`` run starts from an empty memo), and on resumed runs."""
 
-    def test_table_rows_byte_identical(self, d695, serial_table):
+    @pytest.fixture(autouse=True)
+    def _cold_cell_state(self):
         from repro.runtime.pool import clear_cell_state
 
         clear_cell_state()
-        stolen = run_table_experiment(
-            d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED,
-            jobs=2,
+
+    def test_table_rows_byte_identical(self, d695, serial_table):
+        cold = run_table_experiment(
+            d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED, jobs=2
         )
-        assert render_table(stolen) == render_table(serial_table)
-        serial_dict = result_to_dict(serial_table)
-        stolen_dict = result_to_dict(stolen)
-        serial_dict.pop("elapsed_seconds", None)
-        stolen_dict.pop("elapsed_seconds", None)
-        assert stolen_dict == serial_dict
+        _assert_same_table(cold, serial_table)
 
     def test_resumed_run_byte_identical(self, d695, serial_table, tmp_path):
         from repro.resilience.checkpoint import SweepCheckpoint
-        from repro.runtime.pool import clear_cell_state
 
-        clear_cell_state()
         path = tmp_path / "checkpoint.json"
         run_table_experiment(
             d695, N_R, widths=WIDTHS, group_counts=PARTS, seed=SEED,
@@ -88,14 +90,13 @@ class TestWorkersBackendEqualsSerial:
 
     def test_pareto_curve_identical(self, d695):
         serial = sweep_widths(d695, WIDTHS, jobs=1)
-        stolen = sweep_widths(d695, WIDTHS, jobs=2)
-        assert stolen == serial
+        assert sweep_widths(d695, WIDTHS, jobs=2) == serial
 
     def test_volume_study_identical(self, d695):
         patterns = generate_random_patterns(d695, 200, seed=SEED)
         serial = measure_compaction(d695, patterns, PARTS, seed=SEED, jobs=1)
-        stolen = measure_compaction(d695, patterns, PARTS, seed=SEED, jobs=2)
-        assert stolen == serial
+        parallel = measure_compaction(d695, patterns, PARTS, seed=SEED, jobs=2)
+        assert parallel == serial
 
 
 class TestCacheInvariants:

@@ -135,6 +135,40 @@ class TestCellState:
         # Second resolution is the memoized object, not a regeneration.
         assert resolve_patterns(t5, ref) is resolved
 
+    def test_older_store_format_is_recomputed(self, t5, tmp_path):
+        """A store written by older code holds a pickled ``list[SIPattern]``
+        under the same key: it is a miss, regenerated and overwritten."""
+        from repro.runtime.cache import patterns_cache_key
+        from repro.sitest.generator import (
+            GeneratorConfig,
+            generate_random_patterns,
+        )
+        from repro.sitest.pattern_set import PatternSet
+
+        config = GeneratorConfig()
+        key = patterns_cache_key(t5, 3, 50, config=config)
+        expected = generate_random_patterns(t5, 50, seed=3, config=config)
+        store = SharedStateStore(tmp_path)
+        store.put(key, list(expected))
+        ref = PatternsRef(count=50, seed=3, config=config, fingerprint=key,
+                          store_dir=str(tmp_path))
+        with use_instrumentation(Instrumentation()) as instrumentation:
+            resolved = resolve_patterns(t5, ref)
+        assert PatternSet.is_current(resolved)
+        assert resolved == expected
+        counters = instrumentation.counters
+        assert counters["statecache.stale"] == 1
+        assert counters["statecache.patterns_generated"] == 1
+        assert PatternSet.is_current(store.get(key))
+
+        # an entry in the current format is a plain disk hit
+        clear_cell_state()
+        with use_instrumentation(Instrumentation()) as instrumentation:
+            assert resolve_patterns(t5, ref) == expected
+        counters = instrumentation.counters
+        assert counters["statecache.disk_hits"] == 1
+        assert "statecache.patterns_generated" not in counters
+
 
 class TestBatchPlanning:
     def test_plan_covers_every_cell_once(self):
