@@ -5,7 +5,9 @@ the highest cut gain that keeps the bisection within the balance envelope is
 applied; at the end of a pass the best prefix of moves is kept.  Gains use
 the usual hyperedge pin-count rule — moving ``v`` from part ``a`` to part
 ``b`` removes edge ``e`` from the cut when ``v`` is the only pin of ``e`` in
-``a`` and adds ``e`` to the cut when no pin of ``e`` was in ``b``.
+``a`` and adds ``e`` to the cut when no pin of ``e`` was in ``b``.  After
+each move the gains of the unlocked pins are updated by the standard
+pin-count deltas rather than recomputed.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ def _fm_pass(
         if assignment[v] == 0
     )
     locked = [False] * graph.vertex_count
+    edges = graph.edges
+    edge_weights = graph.edge_weights
 
     # Lazy max-heap of (-gain, vertex); stale entries are skipped on pop.
     heap: list[tuple[int, int]] = []
@@ -137,24 +141,46 @@ def _fm_pass(
             best_cumulative = cumulative
             best_prefix = len(moves)
 
-        # Update pin counts and neighbor gains.
-        touched: set[int] = set()
+        # Update pin counts and the gains of the unlocked pins they move
+        # (the standard FM deltas): only an edge whose to-side count was
+        # 0 or 1 before the move, or whose from-side count is 0 or 1 after
+        # it, changes any pin's gain.
+        from_side, to_side = (in0, in1) if part == 0 else (in1, in0)
+        delta: dict[int, int] = {}
         for edge_index in incident[vertex]:
-            if part == 0:
-                in0[edge_index] -= 1
-                in1[edge_index] += 1
-            else:
-                in1[edge_index] -= 1
-                in0[edge_index] += 1
-            for pin in graph.edges[edge_index]:
-                if not locked[pin]:
-                    touched.add(pin)
-        # Sorted so heap pushes happen in a set-iteration-independent
-        # order; (-gain, pin) entries are totally ordered anyway, but this
-        # keeps the pass bit-reproducible under any hash seed.
-        for pin in sorted(touched):
-            gain = _gain(graph, incident, in0, in1, pin, assignment[pin])
-            if gain != current_gain[pin]:
+            before_to = to_side[edge_index]
+            after_from = from_side[edge_index] - 1
+            from_side[edge_index] = after_from
+            to_side[edge_index] = before_to + 1
+            if before_to > 1 and after_from > 1:
+                continue
+            weight = edge_weights[edge_index]
+            for pin in edges[edge_index]:
+                if locked[pin]:
+                    continue
+                change = 0
+                if assignment[pin] == part:
+                    # moving it no longer pulls the edge into the cut /
+                    # now takes the edge out of the cut
+                    if before_to == 0:
+                        change += weight
+                    if after_from == 1:
+                        change += weight
+                else:
+                    # moving it no longer takes the edge out of the cut /
+                    # now pulls the edge into the cut
+                    if before_to == 1:
+                        change -= weight
+                    if after_from == 0:
+                        change -= weight
+                if change:
+                    delta[pin] = delta.get(pin, 0) + change
+        # Pushed in sorted pin order, as a full recompute of every touched
+        # pin's gain would push them, so the heap evolves identically.
+        for pin in sorted(delta):
+            change = delta[pin]
+            if change:
+                gain = current_gain[pin] + change
                 current_gain[pin] = gain
                 heapq.heappush(heap, (-gain, pin))
 

@@ -1,8 +1,9 @@
 """One loader for the optional C engines.
 
-The compaction scan (:mod:`repro.compaction._cscan`) and the optimizer's
-move scan (:mod:`repro.core._movescan`) each carry a small C translation
-of a hot loop.  This module is everything they share: it compiles the
+The compaction scan (:mod:`repro.compaction._cscan`), the optimizer's
+move scan (:mod:`repro.core._movescan`) and the SI pattern generator
+(:mod:`repro.sitest._cgen`) each carry a small C translation of a hot
+loop.  This module is everything they share: it compiles the
 source with whatever ``cc``/``gcc``/``clang`` the host provides, caches
 the shared object, loads and binds it through :mod:`ctypes`, runs the
 engine's smoke check, and remembers the outcome for the life of the
@@ -13,7 +14,8 @@ Every engine is strictly optional.  It resolves to "unavailable" — and
 its callers take their bit-identical pure-Python path — when:
 
 * its environment toggle (``REPRO_COMPACTION_CSCAN`` /
-  ``REPRO_OPTIMIZER_CSCAN``) is ``0``/``off``/``no``/``false``;
+  ``REPRO_OPTIMIZER_CSCAN`` / ``REPRO_GENERATOR_CGEN``) is
+  ``0``/``off``/``no``/``false``;
 * a due ``<name>-compile-fail`` fault fires at the ``<name>.load``
   injection site (counted as ``recovery.<name>_fallback``);
 * there is no compiler, compilation fails, the library lacks the
@@ -83,9 +85,9 @@ class NativeEngine:
     """An optional C engine, resolved lazily and at most once per process.
 
     Args:
-        name: Short engine name (``cscan``, ``movescan``): names the
-            cached object, the fault site ``<name>.load`` and the
-            ``recovery.*`` counters.
+        name: Short engine name (``cscan``, ``movescan``, ``cgen``):
+            names the cached object, the fault site ``<name>.load`` and
+            the ``recovery.*`` counters.
         source: The C source.
         env_var: Environment toggle that disables the engine.
         bind: ``bind(lib)`` -> handle: looks up and types the entry

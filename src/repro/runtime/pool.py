@@ -250,16 +250,18 @@ def resolve_patterns(soc, ref: PatternsRef):
 def warm_engines() -> dict:
     """Resolve the optional C engines once, up front.
 
-    Compiling/loading ``_cscan`` and ``_movescan`` inside the first cell
-    charges that cell's wall time and, under a per-cell ``timeout``, can
-    even push it over budget.  Warm workers pay it during warm-up instead;
-    the resolved handles stay cached in the worker process for every
-    subsequent cell.
+    Compiling/loading ``_cscan``, ``_movescan`` and ``_cgen`` inside the
+    first cell charges that cell's wall time and, under a per-cell
+    ``timeout``, can even push it over budget.  Warm workers pay it
+    during warm-up instead; the resolved handles stay cached in the
+    worker process for every subsequent cell.
     """
     from repro.compaction import _cscan
     from repro.core import _movescan
+    from repro.sitest import _cgen
 
-    return {"cscan": _cscan.warm(), "movescan": _movescan.warm()}
+    return {"cscan": _cscan.warm(), "movescan": _movescan.warm(),
+            "cgen": _cgen.warm()}
 
 
 def default_warmup() -> dict:

@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 
 from repro.soc.model import Soc
+from repro.sitest import _cgen
 from repro.sitest.pattern_set import PatternSet, mask_column
 from repro.sitest.patterns import SIPattern, SYMBOLS, TRANSITIONS
 
@@ -74,7 +75,10 @@ def generate_random_patterns(
     transition; and the bus postfix.  Every draw goes through
     ``Random._randbelow`` exactly as ``choice``, ``randrange``,
     ``randint`` and ``sample`` would make it, so a seed's patterns never
-    depend on how they are stored.
+    depend on how they are stored.  The loop runs in C
+    (:mod:`repro.sitest._cgen`, replaying the same draws from a copy of
+    the generator state) when that engine is available and the layout
+    fits its caps, and in Python otherwise; both write the same columns.
 
     Raises:
         ValueError: If the SOC has no core with output cells or ``count``
@@ -88,11 +92,22 @@ def generate_random_patterns(
     if not hosts:
         raise ValueError(f"SOC {soc.name} has no cores with output cells")
 
-    host_count = len(hosts)
-    wocs = [core.woc_count for core in hosts]
     bases = array("i", (0,))
-    for woc in wocs:
-        bases.append(bases[-1] + woc)
+    for core in hosts:
+        bases.append(bases[-1] + core.woc_count)
+    columns = _cgen.draw(rng, count, bases, config)
+    if columns is None:
+        columns = _draw_columns(rng, count, bases, config)
+    return PatternSet([core.core_id for core in hosts], bases, *columns)
+
+
+def _draw_columns(rng: random.Random, count: int, bases: array,
+                  config: GeneratorConfig) -> tuple:
+    """The generator loop in Python: the columns ``(care_keys, care_off,
+    bus_keys, bus_off, victims, masks)`` of ``count`` patterns over the
+    host layout ``bases``."""
+    host_count = len(bases) - 1
+    wocs = [bases[p + 1] - bases[p] for p in range(host_count)]
     # sampling range(woc - 1) and skipping the victim index draws exactly
     # what sampling the list of the victim's other terminals would
     spare = [range(woc - 1) for woc in wocs]
@@ -159,10 +174,7 @@ def generate_random_patterns(
         victims.append(victim)
         masks.append(mask)
 
-    return PatternSet(
-        [core.core_id for core in hosts], bases, care_keys, care_off,
-        bus_keys, bus_off, victims, masks,
-    )
+    return care_keys, care_off, bus_keys, bus_off, victims, masks
 
 
 def generate_topology_patterns(

@@ -20,13 +20,14 @@ def _fresh_degradation_ladder():
 
 @pytest.fixture
 def reprobe_engines():
-    """Force a fresh probe of both C engines before and after the test,
+    """Force a fresh probe of every C engine before and after the test,
     so a test that disables or breaks one (environment toggle, injected
     fault, planted cache file) does not leak that into later tests."""
     from repro.compaction import _cscan
     from repro.core import _movescan
+    from repro.sitest import _cgen
 
-    engines = (_cscan.ENGINE, _movescan.ENGINE)
+    engines = (_cscan.ENGINE, _movescan.ENGINE, _cgen.ENGINE)
     for engine in engines:
         engine.reset()
     yield engines

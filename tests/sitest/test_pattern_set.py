@@ -5,13 +5,17 @@ wrote columns: one ``SIPattern`` per pattern, built from ``choice``,
 ``randrange``, ``randint`` and ``sample`` calls.  The columnar generator
 must consume the same draws, so for every SOC, seed and configuration
 its set equals the oracle's patterns pattern for pattern, dict
-insertion order included, and encodes to the same columns.
+insertion order included, and encodes to the same columns.  The draw
+equivalence suite runs twice: on the C generator (when it resolves) and
+with it forced off, on the Python loop.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,13 @@ from hypothesis import strategies as st
 
 from repro.compaction.horizontal import build_si_test_groups
 from repro.compaction.vertical import _greedy_reference, greedy_compact
-from repro.sitest.generator import GeneratorConfig, generate_random_patterns
+from repro.native import _DISABLE_VALUES
+from repro.sitest import _cgen
+from repro.sitest.generator import (
+    GeneratorConfig,
+    _draw_columns,
+    generate_random_patterns,
+)
 from repro.sitest.pattern_set import PatternSet
 from repro.sitest.patterns import SIPattern, SYMBOLS, TRANSITIONS
 from repro.soc.benchmarks import load_benchmark
@@ -112,24 +122,41 @@ def _soc(*outputs) -> Soc:
     )
 
 
+def _synthesized_sweep(test):
+    return settings(max_examples=25, deadline=None)(given(
+        cores=st.integers(min_value=1, max_value=12),
+        soc_seed=st.integers(min_value=0, max_value=10_000),
+        seed=st.integers(min_value=0, max_value=10_000),
+        count=st.integers(min_value=0, max_value=150),
+    )(test))
+
+
+def _check_synthesized_soc(cores, soc_seed, seed, count):
+    soc = synthesize_soc("synth", cores, seed=soc_seed)
+    if any(core.woc_count for core in soc):
+        assert_matches_oracle(soc, count, seed)
+
+
 class TestDrawEquivalence:
+    #: Whether the C generator may run; it still honours its toggle.
+    cgen = True
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _generator_engine(self, request):
+        _cgen.ENGINE.reset()
+        if not request.cls.cgen:
+            _cgen.ENGINE.handle = False
+        yield
+        _cgen.ENGINE.reset()
+
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("seed", (0, 1, 7))
     def test_bundled_benchmarks(self, name, seed):
         assert_matches_oracle(load_benchmark(name), 1_500, seed)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        cores=st.integers(min_value=1, max_value=12),
-        soc_seed=st.integers(min_value=0, max_value=10_000),
-        seed=st.integers(min_value=0, max_value=10_000),
-        count=st.integers(min_value=0, max_value=150),
-    )
+    @_synthesized_sweep
     def test_synthesized_socs(self, cores, soc_seed, seed, count):
-        soc = synthesize_soc("synth", cores, seed=soc_seed)
-        if not any(core.woc_count for core in soc):
-            return
-        assert_matches_oracle(soc, count, seed)
+        _check_synthesized_soc(cores, soc_seed, seed, count)
 
     def test_zero_count(self, d695):
         generated, _ = assert_matches_oracle(d695, 0, 3)
@@ -172,6 +199,113 @@ class TestDrawEquivalence:
             for pattern in generated
         ]
         assert max(externals) == 1
+
+
+class TestDrawEquivalencePython(TestDrawEquivalence):
+    """The same suite with the C generator forced off."""
+
+    cgen = False
+
+    # Hypothesis runs a test method on one class only.
+    @_synthesized_sweep
+    def test_synthesized_socs(self, cores, soc_seed, seed, count):
+        _check_synthesized_soc(cores, soc_seed, seed, count)
+
+
+# Skipped only where the engine is not wanted; a wanted engine that fails
+# to resolve fails these tests instead of hiding behind the Python loop.
+needs_cgen = pytest.mark.skipif(
+    not (shutil.which("cc") or shutil.which("gcc") or shutil.which("clang"))
+    or os.environ.get(_cgen.ENGINE.env_var, "").strip().lower()
+    in _DISABLE_VALUES,
+    reason="no C compiler, or the C generator is disabled",
+)
+
+
+def _columns(pattern_set: PatternSet) -> list[list[int]]:
+    return [
+        list(column) for column in (
+            pattern_set.bases, pattern_set.care_keys, pattern_set.care_off,
+            pattern_set.bus_keys, pattern_set.bus_off, pattern_set.victims,
+            pattern_set.masks,
+        )
+    ]
+
+
+class TestCgen:
+    """The C generator against CPython's generator, primitive by
+    primitive and loop against loop."""
+
+    @needs_cgen
+    @pytest.mark.parametrize("seed", (0, 1, 12345))
+    @pytest.mark.parametrize("burn", (0, 1, 623, 700))
+    def test_word_stream_matches_getrandbits(self, seed, burn):
+        rng = random.Random(seed)
+        for _ in range(burn):
+            rng.getrandbits(32)
+        before = rng.getstate()
+        words = _cgen.mt_words(rng, 3 * 624 + 5)
+        assert rng.getstate() == before  # drawn from a copy
+        assert words == [rng.getrandbits(32) for _ in range(3 * 624 + 5)]
+
+    @needs_cgen
+    @settings(max_examples=80, deadline=None)
+    @given(
+        wocs=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        bounds=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        externals=st.integers(0, 6),
+        bus_width=st.integers(0, 40),
+        bus_probability=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 200),
+    )
+    def test_config_sweep_matches_python_loop(
+        self, wocs, bounds, externals, bus_width, bus_probability, seed,
+        count,
+    ):
+        # wocs up to 40 and bus widths up to 40 cross CPython's pool/set
+        # threshold of sample() (21 for k <= 5, 85 above) both ways
+        config = GeneratorConfig(
+            min_aggressors=min(bounds), max_aggressors=max(bounds),
+            max_external_aggressors=externals, bus_width=bus_width,
+            bus_probability=bus_probability,
+        )
+        soc = _soc(*wocs)
+        generated = generate_random_patterns(soc, count, seed, config)
+        drawn = _cgen.draw(random.Random(seed), count, generated.bases,
+                           config)
+        assert drawn is not None
+        python = _draw_columns(random.Random(seed), count, generated.bases,
+                               config)
+        assert [list(column) for column in drawn] == [
+            list(column) for column in python
+        ]
+        assert [column.typecode for column in drawn] == [
+            column.typecode for column in python
+        ]
+        assert _columns(generated)[1:] == [list(column) for column in python]
+
+    def test_more_than_64_hosts_take_the_python_path(self):
+        soc = _soc(*([3, 1, 5] * 23))
+        bases = generate_random_patterns(soc, 1, 0).bases
+        assert _cgen.draw(random.Random(2), 10, bases, GeneratorConfig()) \
+            is None
+        generated = generate_random_patterns(soc, 300, seed=2)
+        assert isinstance(generated.masks, list)
+        assert _columns(generated) == _columns(
+            PatternSet.from_patterns(oracle(soc, 300, seed=2), soc)
+        )
+
+    def test_over_cap_config_takes_the_python_path(self):
+        config = GeneratorConfig(
+            min_aggressors=_cgen.MAX_AGGRESSORS - 2,
+            max_aggressors=_cgen.MAX_AGGRESSORS + 1,
+            max_external_aggressors=3, bus_width=80,
+        )
+        soc = _soc(90, 4, 70)
+        bases = generate_random_patterns(soc, 1, 0).bases
+        assert _cgen.draw(random.Random(3), 10, bases, config) is None
+        assert_matches_oracle(soc, 200, 3, config)
 
 
 class TestSequence:

@@ -1,8 +1,8 @@
 """Tests of the shared C-engine loader (:mod:`repro.native`).
 
 Every test here routes the engine cache into its own temp directory
-(``tempfile.tempdir``, which is what ``TMPDIR`` sets) and clears both
-engine toggles, so it behaves the same with the engines on or off.
+(``tempfile.tempdir``, which is what ``TMPDIR`` sets) and clears every
+engine toggle, so it behaves the same with the engines on or off.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from repro.compaction.vertical import greedy_compact
 from repro.core import _movescan
 from repro.core.optimizer import optimize_tam
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
+from repro.sitest import _cgen
 from repro.sitest.generator import generate_random_patterns
+from tests.sitest.test_pattern_set import assert_matches_oracle
 
 COMPILER = (
     shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
@@ -47,19 +49,24 @@ def _movescan_matches_reference(t5, d695) -> None:
     assert incremental.evaluation == reference.evaluation
 
 
+def _cgen_matches_reference(t5, d695) -> None:
+    assert_matches_oracle(d695, 500, 3)
+
+
 ENGINES = {
     "cscan": (_cscan, _cscan_matches_reference),
     "movescan": (_movescan, _movescan_matches_reference),
+    "cgen": (_cgen, _cgen_matches_reference),
 }
 
 
 @pytest.fixture
 def private_tmp(tmp_path, monkeypatch, reprobe_engines):
-    """An empty temp root for the engine cache, with both engines
+    """An empty temp root for the engine cache, with every engine
     wanted and re-probed."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.delenv("REPRO_COMPACTION_CSCAN", raising=False)
-    monkeypatch.delenv("REPRO_OPTIMIZER_CSCAN", raising=False)
+    for engine in reprobe_engines:
+        monkeypatch.delenv(engine.env_var, raising=False)
     return tmp_path
 
 
