@@ -38,17 +38,78 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
+/* Conflict rows as word runs.
+ *
+ * occ_off/occ_pat/occ_id group the occurrences of every group (terminal
+ * or line) in ascending pattern order; ids_off/ids list each group's
+ * ids.  For every word a group touches, T is the OR of the group's bits
+ * there and each id of the group gets the run (word, T & ~own) when that
+ * is non-zero, so every row comes out in ascending word order.  With
+ * row_w NULL this only counts runs into next[id]; otherwise it writes
+ * them at next[id]++.
+ */
+static void conflict_runs(
+    int64_t n_groups, const int64_t *occ_off, const int32_t *occ_pat,
+    const int32_t *occ_id, const int64_t *ids_off, const int32_t *ids,
+    uint64_t *own, int64_t *next, int32_t *row_w, uint64_t *row_b)
+{
+    for (int64_t g = 0; g < n_groups; g++) {
+        const int64_t end = occ_off[g + 1];
+        for (int64_t k = occ_off[g]; k < end; ) {
+            const int32_t w = occ_pat[k] >> 6;
+            uint64_t total = 0;
+            int64_t q = k;
+            for (; q < end && (occ_pat[q] >> 6) == w; q++) {
+                const uint64_t bit = 1ULL << (occ_pat[q] & 63);
+                own[occ_id[q]] |= bit;
+                total |= bit;
+            }
+            for (int64_t d = ids_off[g]; d < ids_off[g + 1]; d++) {
+                const int32_t id = ids[d];
+                const uint64_t bits = total & ~own[id];
+                if (bits) {
+                    if (row_w) {
+                        row_w[next[id]] = w;
+                        row_b[next[id]] = bits;
+                    }
+                    next[id]++;
+                }
+            }
+            for (; k < q; k++) own[occ_id[k]] = 0;
+        }
+    }
+}
+
+/* Clear key `id`'s conflict row out of `eligible` from word `from` up
+ * (lower words are already decided); returns the runs applied. */
+static inline int64_t prune_row(
+    const int64_t *row_off, const int32_t *row_w, const uint64_t *row_b,
+    int64_t id, int64_t from, uint64_t *eligible)
+{
+    int64_t lo = row_off[id], hi = row_off[id + 1];
+    const int64_t end = hi;
+    while (lo < hi) {  /* first run with word >= from */
+        const int64_t mid = lo + ((hi - lo) >> 1);
+        if (row_w[mid] < from) lo = mid + 1;
+        else hi = mid;
+    }
+    for (int64_t r = lo; r < end; r++) eligible[row_w[r]] &= ~row_b[r];
+    return end - lo;
+}
+
 /* Greedy clique-cover scan over packed bitsets.
  *
  * Pattern i owns bit i.  Per cycle the lowest remaining pattern seeds the
  * merge, then candidates are absorbed in ascending index order; whenever
  * the merge acquires a care (terminal, symbol) or bus claim it has not
  * seen this cycle, that key's conflict mask is cleared out of the
- * eligible set.  Conflict masks are derived in place from the occupancy
- * masks: conflict = (OR of the terminal's symbol slices) & ~own slice.
+ * eligible set.  A key's conflict mask is (OR of its terminal's symbol
+ * slices) & ~own slice, or the same over a line's driver slices.
  *
- * Masks are sparse, so build passes skip zero words: untouched words
- * stay on the OS zero page and the scan reads them at cache speed.
+ * Conflict masks are sparse, so each is stored only where it is
+ * non-zero: care ids and then bus ids (offset by n_care_ids) share one
+ * CSR of (word, bits) runs, terminals and then lines (offset by n_tids)
+ * one group space.  avail and eligible stay dense W-word bitsets.
  */
 int64_t repro_greedy_scan(
     int64_t n,
@@ -64,72 +125,82 @@ int64_t repro_greedy_scan(
     if (n == 0)
         return 0;
     const int64_t W = (n + 63) >> 6;
-    uint64_t *masks = calloc((size_t)(n_care_ids + n_bus_ids) * W, 8);
-    uint64_t *totals = calloc((size_t)(n_tids + n_lines) * W, 8);
+    const int64_t n_ids = n_care_ids + n_bus_ids;
+    const int64_t n_groups = n_tids + n_lines;
+    const int64_t n_occ =
+        care_off[n] - care_off[0] + bus_off[n] - bus_off[0];
+    /* the CSR offsets below count into off[x + 2] and fill at off[x + 1]++,
+     * which leaves off[x + 1] at the end of x, i.e. the start of x + 1 */
+    int64_t *occ_off = calloc((size_t)n_groups + 2, 8);
+    int64_t *ids_off = calloc((size_t)n_groups + 2, 8);
+    int64_t *row_off = calloc((size_t)n_ids + 2, 8);
+    int32_t *occ_pat = malloc((size_t)(n_occ + 1) * 4);
+    int32_t *occ_id = malloc((size_t)(n_occ + 1) * 4);
+    int32_t *ids = malloc((size_t)(n_ids + 1) * 4);
+    int32_t *group_of = malloc((size_t)(n_ids + 1) * 4);
+    uint64_t *own = calloc((size_t)n_ids + 1, 8);
     uint64_t *avail = malloc((size_t)W * 8);
     uint64_t *eligible = malloc((size_t)W * 8);
-    uint32_t *epochs = calloc((size_t)(n_tids + n_lines) + 1, 4);
-    if (!masks || !totals || !avail || !eligible || !epochs) {
-        free(masks); free(totals); free(avail); free(eligible); free(epochs);
-        return -1;
-    }
-    uint64_t *bus_masks = masks + (size_t)n_care_ids * W;
-    uint64_t *line_totals = totals + (size_t)n_tids * W;
-    uint32_t *tid_epoch = epochs;
-    uint32_t *line_epoch = epochs + n_tids;
+    uint32_t *group_epoch = calloc((size_t)n_groups + 1, 4);
+    int32_t *row_w = NULL;
+    uint64_t *row_b = NULL;
+    int64_t cycles = -1;
+    if (!occ_off || !ids_off || !row_off || !occ_pat || !occ_id || !ids ||
+        !group_of || !own || !avail || !eligible || !group_epoch)
+        goto done;
+    for (int64_t c = 0; c < n_care_ids; c++)
+        group_of[c] = tid_of[c];
+    for (int64_t b = 0; b < n_bus_ids; b++)
+        group_of[n_care_ids + b] = (int32_t)(n_tids + line_of[b]);
+    const int32_t *bus_group = group_of + n_care_ids;
 
-    /* occupancy fill from the CSR streams */
+    /* ids grouped by terminal / line */
+    for (int64_t id = 0; id < n_ids; id++)
+        ids_off[group_of[id] + 2]++;
+    for (int64_t g = 0; g < n_groups; g++)
+        ids_off[g + 2] += ids_off[g + 1];
+    for (int64_t id = 0; id < n_ids; id++)
+        ids[ids_off[group_of[id] + 1]++] = (int32_t)id;
+    /* occurrences grouped by terminal / line, ascending pattern order */
+    for (int64_t k = care_off[0]; k < care_off[n]; k++)
+        occ_off[group_of[care_flat[k]] + 2]++;
+    for (int64_t k = bus_off[0]; k < bus_off[n]; k++)
+        occ_off[bus_group[bus_flat[k]] + 2]++;
+    for (int64_t g = 0; g < n_groups; g++)
+        occ_off[g + 2] += occ_off[g + 1];
     for (int64_t i = 0; i < n; i++) {
-        const uint64_t word = 1ULL << (i & 63);
-        const int64_t w = i >> 6;
-        for (int64_t k = care_off[i]; k < care_off[i + 1]; k++)
-            masks[(size_t)care_flat[k] * W + w] |= word;
-        for (int64_t k = bus_off[i]; k < bus_off[i + 1]; k++)
-            bus_masks[(size_t)bus_flat[k] * W + w] |= word;
-    }
-    /* per-terminal / per-line totals (symbol slices are disjoint) */
-    for (int64_t c = 0; c < n_care_ids; c++) {
-        uint64_t *t = totals + (size_t)tid_of[c] * W;
-        const uint64_t *m = masks + (size_t)c * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t mw = m[w];
-            if (mw) t[w] |= mw;
+        for (int64_t k = care_off[i]; k < care_off[i + 1]; k++) {
+            const int64_t at = occ_off[group_of[care_flat[k]] + 1]++;
+            occ_pat[at] = (int32_t)i;
+            occ_id[at] = care_flat[k];
+        }
+        for (int64_t k = bus_off[i]; k < bus_off[i + 1]; k++) {
+            const int64_t at = occ_off[bus_group[bus_flat[k]] + 1]++;
+            occ_pat[at] = (int32_t)i;
+            occ_id[at] = (int32_t)(n_care_ids + bus_flat[k]);
         }
     }
-    for (int64_t b = 0; b < n_bus_ids; b++) {
-        uint64_t *t = line_totals + (size_t)line_of[b] * W;
-        const uint64_t *m = bus_masks + (size_t)b * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t mw = m[w];
-            if (mw) t[w] |= mw;
-        }
-    }
-    /* occupancy -> conflict masks, in place (mask is a subset of total) */
-    for (int64_t c = 0; c < n_care_ids; c++) {
-        const uint64_t *t = totals + (size_t)tid_of[c] * W;
-        uint64_t *m = masks + (size_t)c * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t tw = t[w];
-            if (tw) m[w] = tw & ~m[w];
-        }
-    }
-    for (int64_t b = 0; b < n_bus_ids; b++) {
-        const uint64_t *t = line_totals + (size_t)line_of[b] * W;
-        uint64_t *m = bus_masks + (size_t)b * W;
-        for (int64_t w = 0; w < W; w++) {
-            const uint64_t tw = t[w];
-            if (tw) m[w] = tw & ~m[w];
-        }
-    }
+    /* conflict rows: count, then fill */
+    conflict_runs(n_groups, occ_off, occ_pat, occ_id, ids_off, ids, own,
+                  row_off + 2, NULL, NULL);
+    for (int64_t id = 0; id < n_ids; id++)
+        row_off[id + 2] += row_off[id + 1];
+    row_w = malloc((size_t)(row_off[n_ids + 1] + 1) * 4);
+    row_b = malloc((size_t)(row_off[n_ids + 1] + 1) * 8);
+    if (!row_w || !row_b)
+        goto done;
+    conflict_runs(n_groups, occ_off, occ_pat, occ_id, ids_off, ids, own,
+                  row_off + 1, row_w, row_b);
 
     memset(avail, 0xff, (size_t)W * 8);
     if (n & 63)
         avail[W - 1] = (1ULL << (n & 63)) - 1;
 
-    int64_t pruned = 0, words = 0, m_count = 0, cycles = 0;
+    int64_t pruned = 0, words = 0, m_count = 0;
     int64_t cursor = 0;  /* lowest possibly-nonzero avail word */
     int64_t live = n;    /* popcount of avail */
     uint32_t epoch = 0;
+    cycles = 0;
     while (live) {
         while (!avail[cursor]) cursor++;
         const int64_t seed =
@@ -144,22 +215,20 @@ int64_t repro_greedy_scan(
         memcpy(eligible + cursor, avail + cursor, (size_t)(W - cursor) * 8);
         for (int64_t k = care_off[seed]; k < care_off[seed + 1]; k++) {
             const int32_t cid = care_flat[k];
-            const int32_t tid = tid_of[cid];
-            if (tid_epoch[tid] != epoch) {
-                tid_epoch[tid] = epoch;
-                const uint64_t *c = masks + (size_t)cid * W;
-                for (int64_t w = cursor; w < W; w++) eligible[w] &= ~c[w];
-                words += W - cursor;
+            const int32_t g = group_of[cid];
+            if (group_epoch[g] != epoch) {
+                group_epoch[g] = epoch;
+                words += prune_row(row_off, row_w, row_b, cid, cursor,
+                                   eligible);
             }
         }
         for (int64_t k = bus_off[seed]; k < bus_off[seed + 1]; k++) {
             const int32_t bid = bus_flat[k];
-            const int32_t line = line_of[bid];
-            if (line_epoch[line] != epoch) {
-                line_epoch[line] = epoch;
-                const uint64_t *c = bus_masks + (size_t)bid * W;
-                for (int64_t w = cursor; w < W; w++) eligible[w] &= ~c[w];
-                words += W - cursor;
+            const int32_t g = bus_group[bid];
+            if (group_epoch[g] != epoch) {
+                group_epoch[g] = epoch;
+                words += prune_row(row_off, row_w, row_b, n_care_ids + bid,
+                                   cursor, eligible);
             }
         }
         for (int64_t jw = cursor; jw < W; ) {
@@ -171,35 +240,36 @@ int64_t repro_greedy_scan(
             live--;
             absorbed++;
             members_out[m_count++] = (int32_t)j;
+            /* bits at or below j are already decided: prune from the
+             * current word up only */
             for (int64_t k = care_off[j]; k < care_off[j + 1]; k++) {
                 const int32_t cid = care_flat[k];
-                const int32_t tid = tid_of[cid];
-                if (tid_epoch[tid] != epoch) {
-                    tid_epoch[tid] = epoch;
-                    const uint64_t *c = masks + (size_t)cid * W;
-                    /* bits at or below j are already decided: prune from
-                     * the current word up only */
-                    for (int64_t w = jw; w < W; w++) eligible[w] &= ~c[w];
-                    words += W - jw;
+                const int32_t g = group_of[cid];
+                if (group_epoch[g] != epoch) {
+                    group_epoch[g] = epoch;
+                    words += prune_row(row_off, row_w, row_b, cid, jw,
+                                       eligible);
                 }
             }
             for (int64_t k = bus_off[j]; k < bus_off[j + 1]; k++) {
                 const int32_t bid = bus_flat[k];
-                const int32_t line = line_of[bid];
-                if (line_epoch[line] != epoch) {
-                    line_epoch[line] = epoch;
-                    const uint64_t *c = bus_masks + (size_t)bid * W;
-                    for (int64_t w = jw; w < W; w++) eligible[w] &= ~c[w];
-                    words += W - jw;
+                const int32_t g = bus_group[bid];
+                if (group_epoch[g] != epoch) {
+                    group_epoch[g] = epoch;
+                    words += prune_row(row_off, row_w, row_b,
+                                       n_care_ids + bid, jw, eligible);
                 }
             }
         }
         pruned += candidates - (absorbed - 1);
         cycle_off_out[++cycles] = m_count;
     }
-    free(masks); free(totals); free(avail); free(eligible); free(epochs);
     stats_out[0] = pruned;
     stats_out[1] = words;
+done:
+    free(occ_off); free(ids_off); free(row_off); free(occ_pat);
+    free(occ_id); free(ids); free(group_of); free(own); free(avail);
+    free(eligible); free(group_epoch); free(row_w); free(row_b);
     return cycles;
 }
 
@@ -338,9 +408,10 @@ def _smoke(fn) -> bool:
 
     Three patterns on one terminal, viewed in reverse order: pattern 2
     and 1 assign different symbols (mutual conflict), 0 assigns nothing
-    and claims bus line 1.  The greedy scan over the view must merge view
-    positions {0, 2} and leave {1}, pruning position 1 from cycle 0, and
-    touch one word per first-seen terminal or line of a cycle.
+    and alone claims bus line 0 (driver 1).  The greedy scan over the
+    view must merge view positions {0, 2} and leave {1}, pruning
+    position 1 from cycle 0, and apply one conflict-row run for each
+    seed's terminal; the bus claim's conflict row is empty.
     """
     view = PatternSet(
         cores=(7,), bases=array("i", (0, 1)),
@@ -349,7 +420,7 @@ def _smoke(fn) -> bool:
         victims=array("i", (-1, -1, -1)), masks=array("Q", (0, 1, 1)),
         rows=array("i", (2, 1, 0)),
     )
-    return _run(fn, view) == ([[0, 2], [1]], 1, 3)
+    return _run(fn, view) == ([[0, 2], [1]], 1, 2)
 
 
 ENGINE = NativeEngine(
@@ -379,7 +450,7 @@ def greedy_scan(patterns):
     index view, read in place; any other sequence is encoded into one.
     Returns ``(member_lists, pruned, words)``: the merge cycles as lists
     of pattern positions in absorption order, plus the two
-    instrumentation totals (candidates pruned, 64-bit words touched).
+    instrumentation totals (candidates pruned, conflict-row runs applied).
     """
     if not available():
         return None

@@ -277,8 +277,10 @@ def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
 
     Emits ``compaction.bitset.candidates_pruned`` (candidate visits the
     reference would have made that the kernel skipped) and
-    ``compaction.bitset.words_compared`` (approximate 64-bit words touched
-    by conflict-mask operations).
+    ``compaction.bitset.words_compared`` (conflict-row words applied: in
+    the C engine one per ``(word, bits)`` run cleared out of the eligible
+    set, in the Python engine the width in words of each combined
+    conflict mask).
     """
     from repro.compaction import _cscan
     from repro.compaction.vertical import CompactionResult
@@ -306,8 +308,9 @@ def _greedy_scan_python(patterns: Sequence[SIPattern]):
     """Pure-Python greedy scan on big-int bitsets.
 
     The fallback engine when :mod:`repro.compaction._cscan` has no C
-    compiler to work with — same cycles, same counters (``words`` is an
-    approximation in both engines and counts slightly differently).
+    compiler to work with — same cycles, same ``pruned`` (``words``
+    counts differently: conflict-row runs applied in C, combined mask
+    widths here).
     It reads the same column views as the C engine: care keys
     (``terminal_id * 4 + symbol_id``) dedup per terminal as ``key >> 2``,
     bus keys (``line * cores + driver``) per line as ``key // cores``.

@@ -32,6 +32,9 @@ site                      hooked where
 ``movescan.load``         :func:`repro.core._movescan.available` via
                           :class:`repro.native.NativeEngine` (kind
                           ``movescan-compile-fail``)
+``cgen.load``             :func:`repro.sitest._cgen.available` via
+                          :class:`repro.native.NativeEngine` (kind
+                          ``cgen-compile-fail``)
 ``checkpoint.record``     :meth:`repro.resilience.checkpoint.SweepCheckpoint`
                           (kind ``sweep-abort`` — hard process kill)
 ========================  ====================================================
@@ -94,6 +97,7 @@ FAULT_KINDS: dict[str, str] = {
     "codec-mismatch": "cache.store.write",
     "cscan-compile-fail": "cscan.load",
     "movescan-compile-fail": "movescan.load",
+    "cgen-compile-fail": "cgen.load",
     "sweep-abort": "checkpoint.record",
 }
 

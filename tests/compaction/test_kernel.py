@@ -11,6 +11,9 @@ equivalence on realistic terminal distributions.
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +26,13 @@ from repro.compaction.kernel import (
     greedy_compact_bitset,
 )
 from repro.compaction.vertical import color_compact, greedy_compact
+from repro.native import _DISABLE_VALUES
 from repro.runtime.instrumentation import (
     Instrumentation,
     use_instrumentation,
 )
 from repro.sitest.generator import generate_random_patterns
+from repro.sitest.pattern_set import PatternSet
 from repro.sitest.patterns import SIPattern, SYMBOLS
 from repro.soc.benchmarks import load_benchmark
 
@@ -315,3 +320,122 @@ def test_cscan_disabled_by_environment(monkeypatch, reprobe_engines):
     monkeypatch.setenv("REPRO_COMPACTION_CSCAN", "0")
     assert not _cscan.available()
     assert _cscan.greedy_scan([SIPattern(cares={(1, 0): "R"})]) is None
+
+
+# --- C scan: word-run conflict rows -----------------------------------------
+
+
+def _c_scan(patterns):
+    """The C engine's ``(member_lists, pruned, words)``.
+
+    Skipped only where the engine is not wanted; a wanted engine that
+    fails to resolve (e.g. its smoke check) fails the test instead.
+    """
+    from repro.compaction import _cscan
+
+    wanted = os.environ.get(_cscan.ENGINE.env_var, "").strip().lower()
+    if wanted in _DISABLE_VALUES or not (
+        shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    ):
+        pytest.skip("no C compiler, or the C scan is disabled")
+    scanned = _cscan.greedy_scan(patterns)
+    assert scanned is not None
+    return scanned
+
+
+def _assert_c_matches_reference(patterns):
+    from repro.compaction.kernel import _greedy_scan_python
+    from repro.compaction.vertical import _greedy_reference
+
+    members, pruned, _words = _c_scan(patterns)
+    assert tuple(map(tuple, members)) == _greedy_reference(patterns).members
+    assert pruned == _greedy_scan_python(patterns)[1]
+
+
+@pytest.fixture(scope="module")
+def p93791_patterns():
+    return generate_random_patterns(load_benchmark("p93791"), 4097, seed=2)
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 127, 128, 129, 4097])
+@pytest.mark.parametrize("order", ["ascending", "reversed"])
+def test_c_scan_view_sizes_match_reference(p93791_patterns, size, order):
+    """Views ending at, just before and just past a word boundary."""
+    rows = range(size) if order == "ascending" else range(size - 1, -1, -1)
+    _assert_c_matches_reference(p93791_patterns.select(rows))
+
+
+def test_c_scan_applies_run_in_absorbing_word():
+    """Absorbing position 65 acquires (2, 0)='0', whose conflict run in
+    word 1 holds position 64 (below 65, already pruned by the seed) and
+    position 66 (above it): the run must still be applied from word 1."""
+    patterns = [SIPattern(cares={(1, 0): "0"})]
+    patterns += [SIPattern() for _ in range(63)]
+    patterns += [
+        SIPattern(cares={(1, 0): "1", (2, 0): "1"}),  # 64: seed conflict
+        SIPattern(cares={(2, 0): "0"}),               # 65: absorbed
+        SIPattern(cares={(2, 0): "1"}),               # 66: 65's conflict
+        SIPattern(cares={(3, 0): "R"}),               # 67: absorbed
+    ]
+    patterns += [SIPattern(cares={(2, 0): "1"})] * 70  # runs past word 1
+    members, _pruned, _words = _c_scan(patterns)
+    assert members[0] == [*range(64), 65, 67]
+    assert 66 in members[1]
+    _assert_c_matches_reference(patterns)
+
+
+def test_c_scan_empty_conflict_rows_apply_nothing():
+    """A key no other symbol or driver shares has an empty conflict row."""
+    patterns = [
+        SIPattern(cares={(1, 0): "R", (2, index % 3): "F"}, bus_claims={5: 2})
+        for index in range(70)
+    ]
+    members, pruned, words = _c_scan(patterns)
+    assert members == [list(range(70))]
+    assert (pruned, words) == (0, 0)
+    # one shared key with a non-empty row: only its runs are applied
+    patterns.append(SIPattern(cares={(1, 0): "0"}))
+    members, pruned, words = _c_scan(patterns)
+    assert members == [list(range(70)), [70]]
+    assert (pruned, words) == (1, 2)
+
+
+def test_c_scan_bus_heavy_dense_rows():
+    """Every pattern claims three or four of four lines, driven by one of
+    five cores: the bus conflict rows are dense in every word."""
+    import random
+
+    rng = random.Random(5)
+    patterns = []
+    for _ in range(700):
+        driver = rng.randint(1, 5)
+        lines = rng.sample(range(4), rng.randint(3, 4))
+        patterns.append(SIPattern(
+            cares={(driver, rng.randrange(3)): rng.choice(SYMBOLS)},
+            bus_claims={line: driver for line in lines},
+        ))
+    _assert_c_matches_reference(patterns)
+    _assert_c_matches_reference(PatternSet.from_patterns(patterns).select(
+        range(len(patterns) - 1, -1, -1)
+    ))
+
+
+@pytest.fixture(scope="module")
+def d695_patterns():
+    return generate_random_patterns(load_benchmark("d695"), 1_500, seed=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_c_and_python_scans_agree_on_random_views(d695_patterns, data):
+    """Random row subsets of a generated set, in either order."""
+    from repro.compaction.kernel import _greedy_scan_python
+
+    rows = sorted(data.draw(st.sets(
+        st.integers(0, len(d695_patterns) - 1), max_size=300
+    )))
+    if data.draw(st.booleans()):
+        rows.reverse()
+    view = d695_patterns.select(rows)
+    members, pruned, _words = _c_scan(view)
+    assert (members, pruned) == _greedy_scan_python(view)[:2]

@@ -14,6 +14,7 @@ codec-mismatch      unsupported version quarantined -> recomputed
 cscan-compile-fail  engine unavailable -> pure-Python scan fallback
 movescan-compile-   engine unavailable -> pure-Python move scoring
 fail
+cgen-compile-fail   engine unavailable -> pure-Python pattern draws
 sweep-abort         checkpoint survives -> --resume (test_checkpoint)
 ==================  ====================================================
 
@@ -249,6 +250,52 @@ class TestMovescanFault:
             faulted = optimize_tam(d695, 16, backend="incremental")
         assert faulted.architecture == baseline.architecture
         assert faulted.evaluation == baseline.evaluation
+
+
+class TestCgenFault:
+    def test_compile_fault_forces_python_fallback(
+        self, monkeypatch, reprobe_engines
+    ):
+        from repro.sitest import _cgen
+
+        monkeypatch.delenv("REPRO_GENERATOR_CGEN", raising=False)
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            with faults.inject("cgen-compile-fail@0"):
+                assert _cgen.available() is False
+        counters = instrumentation.counters
+        assert counters["faults.injected.cgen-compile-fail"] == 1
+        assert counters["recovery.cgen_fallback"] == 1
+
+    def test_patterns_identical_under_compile_fault(
+        self, monkeypatch, reprobe_engines, d695
+    ):
+        import random
+
+        from repro.sitest import _cgen
+        from repro.sitest.generator import (
+            GeneratorConfig,
+            _draw_columns,
+            generate_random_patterns,
+        )
+
+        baseline = generate_random_patterns(d695, 300, seed=4)
+        monkeypatch.delenv("REPRO_GENERATOR_CGEN", raising=False)
+        _cgen.ENGINE.reset()
+        instrumentation = Instrumentation()
+        with use_instrumentation(instrumentation):
+            with faults.inject("cgen-compile-fail@0"):
+                faulted = generate_random_patterns(d695, 300, seed=4)
+        assert instrumentation.counters["recovery.cgen_fallback"] == 1
+        python = _draw_columns(random.Random(4), 300, faulted.bases,
+                               GeneratorConfig())
+        assert [
+            list(column) for column in (
+                faulted.care_keys, faulted.care_off, faulted.bus_keys,
+                faulted.bus_off, faulted.victims, faulted.masks,
+            )
+        ] == [list(column) for column in python]
+        assert list(faulted) == list(baseline)
 
 
 class TestWrapWorker:
