@@ -4,12 +4,14 @@ Starting with PR 6 every kernel-grade change appends one point to the
 repository's performance trajectory (``benchmarks/results/BENCH_pr<n>.json``).
 A point captures, in one run:
 
-* **optimizer cell time** — the reference vs incremental backend over the
+* **optimizer cell time** — the reference Algorithm 2 (``_optimize_tam``)
+  vs the incremental engine ``optimize_tam`` runs, over the
   ``W_max`` sweep on one SOC (warm-cache best-of-``repeats``, both engines
   in the same process so the shared ``core_test_time`` memo cannot skew
   the comparison), with a bit-identity check;
-* **compaction throughput** — the packed-bitset kernel vs the reference
-  scan on one pattern set;
+* **compaction throughput** — the packed-bitset kernel behind
+  ``greedy_compact`` vs the reference dict walk (``_greedy_reference``)
+  on one pattern set;
 * **end-to-end table wall-clock** — a cold `run_table_experiment` sweep,
   then a warm rerun against an on-disk cache for the **cache hit rate**;
 * **parallel sweep wall-clock** — serial (``--jobs 1``) vs the
@@ -57,8 +59,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.compaction.horizontal import build_si_test_groups
-from repro.compaction.vertical import greedy_compact
-from repro.core.optimizer import optimize_tam
+from repro.compaction.vertical import _greedy_reference, greedy_compact
+from repro.core.optimizer import _optimize_tam, optimize_tam
 from repro.experiments.runner import PlanRunner
 from repro.experiments.table_runner import run_table_experiment, table_plan
 from repro.runtime import EvaluationCache
@@ -104,12 +106,10 @@ def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
     for w_max in widths:
         # Warm both engines (and the process-wide core-time memo) so the
         # timed passes compare algorithms, not cache states.
-        reference = optimize_tam(soc, w_max, groups, backend="reference")
+        reference = _optimize_tam(soc, w_max, groups, 1, None)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            incremental = optimize_tam(
-                soc, w_max, groups, backend="incremental"
-            )
+            incremental = optimize_tam(soc, w_max, groups)
         counters[w_max] = {
             name: value
             for name, value in sorted(instrumentation.counters.items())
@@ -121,11 +121,11 @@ def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
         )
         ref_seconds = _best_of(
             repeats,
-            lambda: optimize_tam(soc, w_max, groups, backend="reference"),
+            lambda: _optimize_tam(soc, w_max, groups, 1, None),
         )
         inc_seconds = _best_of(
             repeats,
-            lambda: optimize_tam(soc, w_max, groups, backend="incremental"),
+            lambda: optimize_tam(soc, w_max, groups),
         )
         per_width[w_max] = {
             "reference_seconds": round(ref_seconds, 4),
@@ -155,14 +155,14 @@ def bench_compaction(soc_name, pattern_count, seed, repeats):
     """Reference vs packed-bitset vertical compaction throughput."""
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, pattern_count, seed=seed)
-    reference = greedy_compact(patterns, backend="reference")
-    bitset = greedy_compact(patterns, backend="bitset")
+    reference = _greedy_reference(patterns)
+    bitset = greedy_compact(patterns)
     identical = reference.compacted_count == bitset.compacted_count
     ref_seconds = _best_of(
-        repeats, lambda: greedy_compact(patterns, backend="reference")
+        repeats, lambda: _greedy_reference(patterns)
     )
     bit_seconds = _best_of(
-        repeats, lambda: greedy_compact(patterns, backend="bitset")
+        repeats, lambda: greedy_compact(patterns)
     )
     return {
         "soc": soc_name,

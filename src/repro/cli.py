@@ -49,7 +49,6 @@ import sys
 import time
 
 from repro.compaction.horizontal import build_si_test_groups
-from repro.compaction.vertical import BACKENDS
 from repro.core.optimizer import optimize_tam
 from repro.experiments.reporting import save_result
 from repro.experiments.table_runner import (
@@ -249,15 +248,6 @@ def _verify_or_fail(soc, architecture, evaluation, groups,
     return 0
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compaction-backend", choices=BACKENDS, default="auto",
-        help="vertical compaction implementation: the plain reference, the "
-        "packed-bitset kernel, or auto-select by pattern count (results "
-        "are identical either way)",
-    )
-
-
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform plan-runner flags every experiment command accepts:
     ``--jobs``, ``--cache``, ``--resume``, ``--verify`` — plus
@@ -305,18 +295,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_optimizer_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.core.optimizer import OPTIMIZER_BACKENDS
-
-    parser.add_argument(
-        "--optimizer-backend", choices=OPTIMIZER_BACKENDS, default="auto",
-        help="TAM optimizer engine: the reference Algorithm 2, the "
-        "incremental kernel (packed states, bounds pruning, optional C "
-        "move scanner), or auto-select (results are bit-identical "
-        "either way)",
-    )
-
-
 def _cmd_list(_: argparse.Namespace) -> int:
     for name in available_benchmarks():
         soc = load_benchmark(name)
@@ -337,9 +315,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     soc = _load_soc(args.soc)
     patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
     grouping = build_si_test_groups(soc, patterns, parts=args.parts,
-                                    seed=args.seed,
-                                    backend=args.compaction_backend,
-                                    jobs=args.jobs)
+                                    seed=args.seed, jobs=args.jobs)
     print(
         f"{len(patterns)} patterns -> "
         f"{grouping.total_compacted_patterns} compacted in "
@@ -364,9 +340,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         grouping = build_si_test_groups(soc, patterns, parts=args.parts,
                                         seed=args.seed)
         groups = grouping.groups
-    result = optimize_tam(
-        soc, args.wmax, groups=groups, backend=args.optimizer_backend
-    )
+    result = optimize_tam(soc, args.wmax, groups=groups)
     evaluation = result.evaluation
     print(
         f"T_total = {evaluation.t_total} cc "
@@ -401,9 +375,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     soc = _load_soc(args.soc)
     architecture = load_architecture(args.arch)
     groups = _si_groups_for(args, soc)
-    evaluation = evaluate_architecture(
-        soc, architecture, groups, backend=args.optimizer_backend
-    )
+    evaluation = evaluate_architecture(soc, architecture, groups)
     print(
         f"T_total = {evaluation.t_total} cc "
         f"(T_in = {evaluation.t_in}, T_si = {evaluation.t_si})"
@@ -462,13 +434,11 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.core.optimizer import resolve_optimizer_backend
     from repro.experiments.table_runner import (
         print_table_progress,
         table_plan,
     )
 
-    resolve_optimizer_backend(args.optimizer_backend)  # fail fast
     soc = _load_soc(args.soc)
 
     def render(run) -> None:
@@ -493,7 +463,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
             widths=tuple(args.widths),
             group_counts=tuple(args.parts),
             seed=args.seed,
-            optimizer_backend=args.optimizer_backend,
         ),
         {
             "soc": args.soc,
@@ -501,7 +470,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "widths": list(args.widths),
             "parts": list(args.parts),
             "seed": args.seed,
-            "optimizer_backend": args.optimizer_backend,
             **_runtime_arguments(args),
         },
         render,
@@ -574,14 +542,12 @@ def _cmd_volume(args: argparse.Namespace) -> int:
             args.patterns,
             group_counts=tuple(args.parts),
             seed=args.seed,
-            backend=args.compaction_backend,
         ),
         {
             "soc": args.soc,
             "patterns": args.patterns,
             "parts": list(args.parts),
             "seed": args.seed,
-            "compaction_backend": args.compaction_backend,
             **_runtime_arguments(args),
         },
         _plan_renderer("volume"),
@@ -801,8 +767,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         channels=args.channels,
         sa_steps=args.sa_steps,
         arch=args.arch,
-        optimizer_backend=args.optimizer_backend,
-        compaction_backend=args.compaction_backend,
     )
     client = ServiceClient(args.url, timeout=args.timeout)
     response = client.submit(
@@ -900,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes for the per-group compactions (1 = serial)",
     )
-    _add_backend_flag(compact)
     compact.set_defaults(func=_cmd_compact)
 
     optimize = sub.add_parser("optimize", help="optimize a test architecture")
@@ -915,7 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also print the per-rail utilization report")
     optimize.add_argument("--save-arch",
                           help="write the architecture to this JSON file")
-    _add_optimizer_backend_flag(optimize)
     _add_verify_flag(optimize)
     optimize.set_defaults(func=_cmd_optimize)
 
@@ -928,7 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--patterns", type=int, default=0)
     evaluate.add_argument("--parts", type=int, default=4)
     evaluate.add_argument("--seed", type=int, default=1)
-    _add_optimizer_backend_flag(evaluate)
     _add_verify_flag(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
 
@@ -967,7 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--json", help="also write a JSON summary here")
     table.add_argument("--verbose", action="store_true")
     _add_experiment_flags(table)
-    _add_optimizer_backend_flag(table)
     table.set_defaults(func=_cmd_table)
 
     bounds = sub.add_parser("bounds",
@@ -1009,7 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
     volume.add_argument("--parts", type=int, nargs="+", default=[1, 2, 4, 8])
     volume.add_argument("--seed", type=int, default=1)
     _add_experiment_flags(volume)
-    _add_backend_flag(volume)
     volume.set_defaults(func=_cmd_volume)
 
     coverage = sub.add_parser(
@@ -1147,11 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arch", default=None,
         help="architecture JSON (the 'evaluate' kind)",
     )
-    submit.add_argument(
-        "--optimizer-backend", default=None,
-        help="TAM optimizer engine for kinds that take one",
-    )
-    submit.add_argument("--compaction-backend", default=None)
     submit.add_argument(
         "--priority", type=int, default=0,
         help="queue priority (higher runs first; -100..100)",

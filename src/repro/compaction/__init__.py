@@ -3,23 +3,19 @@
 from repro.compaction.groups import SITestGroup
 from repro.compaction.horizontal import GroupingResult, build_si_test_groups
 from repro.compaction.kernel import (
-    KernelMismatchError,
     PackedPatternSet,
     color_compact_bitset,
     greedy_compact_bitset,
 )
 from repro.compaction.vertical import (
-    BACKENDS,
     CompactionResult,
     color_compact,
     greedy_compact,
 )
 
 __all__ = [
-    "BACKENDS",
     "CompactionResult",
     "GroupingResult",
-    "KernelMismatchError",
     "PackedPatternSet",
     "SITestGroup",
     "build_si_test_groups",

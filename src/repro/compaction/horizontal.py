@@ -63,15 +63,12 @@ class GroupingResult:
         return sum(group.patterns for group in self.groups)
 
 
-def _vertical_cell(spec):
+def _vertical_cell(bucket):
     """Sweep cell: vertical compaction of one group's pattern bucket.
 
     The result travels without its source; the caller re-attaches the
     bucket it already holds."""
-    bucket, backend = spec
-    compaction, snapshot = call_with_instrumentation(
-        greedy_compact, bucket, backend=backend
-    )
+    compaction, snapshot = call_with_instrumentation(greedy_compact, bucket)
     return replace(compaction, source=()), snapshot
 
 
@@ -81,7 +78,6 @@ def build_si_test_groups(
     parts: int,
     epsilon: float = 0.10,
     seed: int = 0,
-    backend: str = "auto",
     jobs: int = 1,
 ) -> GroupingResult:
     """Run two-dimensional compaction: partition cores, split the pattern
@@ -95,8 +91,6 @@ def build_si_test_groups(
             compaction over all cores.
         epsilon: Partitioner balance tolerance.
         seed: Partitioner seed.
-        backend: Vertical compaction backend, forwarded to
-            :func:`repro.compaction.vertical.greedy_compact`.
         jobs: Worker processes for the per-group compactions; groups are
             independent, so fanning out never changes the result.
 
@@ -108,7 +102,7 @@ def build_si_test_groups(
         raise ValueError("parts must be positive")
     with get_instrumentation().timeit("compaction.build_si_test_groups"):
         return _build_si_test_groups(soc, patterns, parts, epsilon, seed,
-                                     backend, jobs)
+                                     jobs)
 
 
 def _build_si_test_groups(
@@ -117,7 +111,6 @@ def _build_si_test_groups(
     parts: int,
     epsilon: float,
     seed: int,
-    backend: str,
     jobs: int,
 ) -> GroupingResult:
     host_ids = [core.core_id for core in soc if core.woc_count > 0]
@@ -172,7 +165,7 @@ def _build_si_test_groups(
 
     outcomes = run_cells(
         _vertical_cell,
-        [(bucket, backend) for bucket, _cores, _is_residual in cells],
+        [bucket for bucket, _cores, _is_residual in cells],
         jobs=jobs,
     )
 

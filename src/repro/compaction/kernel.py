@@ -30,11 +30,10 @@ width Python ints:
 :func:`greedy_compact_bitset` and :func:`color_compact_bitset` reproduce
 the reference implementations **bit-identically** (same
 :class:`~repro.compaction.vertical.CompactionResult`, including member
-partition and ordering); ``verify=True`` cross-checks against the reference
-at full cost.  Dispatch between backends lives in
-:func:`repro.compaction.vertical.greedy_compact` /
-:func:`~repro.compaction.vertical.color_compact` via their ``backend``
-argument.
+partition and ordering).  :func:`repro.compaction.vertical.greedy_compact`
+and :func:`~repro.compaction.vertical.color_compact` always call them; the
+reference implementations stay in :mod:`repro.compaction.vertical` as test
+oracles.
 """
 
 from __future__ import annotations
@@ -45,18 +44,6 @@ from collections.abc import Sequence
 from repro.runtime.instrumentation import incr
 from repro.sitest.pattern_set import SYMBOL_IDS, PatternSet
 from repro.sitest.patterns import SIPattern, Terminal
-
-#: ``backend="auto"`` picks the bitset kernel at or above these pattern
-#: counts.  Below them the packed index costs more than it saves; the
-#: crossovers were measured on the bundled ITC'02 SOCs (see
-#: ``benchmarks/bench_compaction.py``).
-GREEDY_AUTO_THRESHOLD = 2048
-COLOR_AUTO_THRESHOLD = 64
-
-
-class KernelMismatchError(AssertionError):
-    """The bitset kernel disagreed with the reference implementation."""
-
 
 class PackedPatternSet:
     """Dense big-int encoding of an :class:`SIPattern` list.
@@ -249,17 +236,17 @@ def _bit_packer(n: int):
     return to_int
 
 
-def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
-                          verify: bool = False):
+def greedy_compact_bitset(patterns: Sequence[SIPattern]):
     """Greedy clique-cover compaction on the packed encoding.
 
-    Bit-identical to :func:`repro.compaction.vertical.greedy_compact` with
-    ``backend="reference"``: in each cycle the lowest remaining pattern
-    seeds a merge, then absorbs every later pattern compatible with the
-    merge so far, in index order.  The kernel keeps an ``eligible`` mask of
-    candidates compatible with the running merge — seeded from ``avail``
-    and pruned by the conflict masks of every symbol/claim the merge
-    acquires — so conflicting candidates are never visited at all.
+    Bit-identical to the reference
+    :func:`repro.compaction.vertical._greedy_reference`: in each cycle
+    the lowest remaining pattern seeds a merge, then absorbs every later
+    pattern compatible with the merge so far, in index order.  The kernel
+    keeps an ``eligible`` mask of candidates compatible with the running
+    merge — seeded from ``avail`` and pruned by the conflict masks of
+    every symbol/claim the merge acquires — so conflicting candidates are
+    never visited at all.
     Equivalence holds because a pattern incompatible with the merge stays
     incompatible for the rest of the cycle (merges only gain cares) and
     the top-bit extraction yields exactly the reference's visit order.
@@ -268,12 +255,6 @@ def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
     :class:`~repro.sitest.pattern_set.PatternSet` (or index view); a plain
     list is encoded into one first.  The merged patterns are built only
     when :attr:`CompactionResult.compacted` is read.
-
-    Args:
-        patterns: The patterns to compact.
-        verify: Re-run the reference implementation and raise
-            :class:`KernelMismatchError` on any difference (debugging aid;
-            costs the full reference runtime).
 
     Emits ``compaction.bitset.candidates_pruned`` (candidate visits the
     reference would have made that the kernel skipped) and
@@ -294,14 +275,11 @@ def greedy_compact_bitset(patterns: Sequence[SIPattern], *,
         member_lists, pruned, words = _greedy_scan_python(view)
     incr("compaction.bitset.candidates_pruned", pruned)
     incr("compaction.bitset.words_compared", words)
-    result = CompactionResult(
+    return CompactionResult(
         members=tuple(tuple(absorbed) for absorbed in member_lists),
         original_count=len(view),
         source=patterns,
     )
-    if verify:
-        _check_against_reference("greedy", patterns, result)
-    return result
 
 
 def _greedy_scan_python(patterns: Sequence[SIPattern]):
@@ -422,15 +400,16 @@ def _greedy_scan_python(patterns: Sequence[SIPattern]):
     return member_lists, pruned, words
 
 
-def color_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
+def color_compact_bitset(patterns: list[SIPattern]):
     """Welsh–Powell conflict-graph coloring on the packed encoding.
 
-    Bit-identical to :func:`repro.compaction.vertical.color_compact` with
-    ``backend="reference"``.  Instead of the reference's O(n²) pairwise
-    compatibility matrix, each vertex gets a conflict mask (OR of the
-    conflict masks of its cares and claims — never including itself), its
-    degree is the mask's popcount, and a color is forbidden exactly when
-    the vertex mask intersects the color class's member mask.  The
+    Bit-identical to the reference
+    :func:`repro.compaction.vertical._color_reference`.  Instead of its
+    O(n²) pairwise compatibility matrix, each vertex gets a conflict mask
+    (OR of the conflict masks of its cares and claims — never including
+    itself), its degree is the mask's popcount, and a color is forbidden
+    exactly when the vertex mask intersects the color class's member
+    mask.  The
     degree sort is stable, so tie order matches the reference.
 
     Stores one n-bit mask per pattern (O(n²/64) words); meant for the
@@ -487,7 +466,7 @@ def color_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
         merged_bus[chosen].update(patterns[vertex].bus_claims)
 
     incr("compaction.bitset.words_compared", words)
-    result = CompactionResult(
+    return CompactionResult(
         members=tuple(tuple(sorted(members)) for members in classes),
         original_count=n,
         merged=tuple(
@@ -495,22 +474,3 @@ def color_compact_bitset(patterns: list[SIPattern], *, verify: bool = False):
             for c in range(len(classes))
         ),
     )
-    if verify:
-        _check_against_reference("color", patterns, result)
-    return result
-
-
-def _check_against_reference(algorithm: str, patterns, result) -> None:
-    from repro.compaction import vertical
-
-    reference_impl = {
-        "greedy": vertical._greedy_reference,
-        "color": vertical._color_reference,
-    }[algorithm]
-    expected = reference_impl(patterns)
-    if result != expected:
-        raise KernelMismatchError(
-            f"bitset {algorithm} kernel diverged from the reference on "
-            f"{len(patterns)} patterns: {result.compacted_count} vs "
-            f"{expected.compacted_count} compacted"
-        )

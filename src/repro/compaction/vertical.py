@@ -12,12 +12,12 @@ vectors.  Two algorithms are provided:
   conflict graph, the classical approximation the paper compares against.
   Builds the O(n²) conflict graph, so intended for moderate pattern counts.
 
-Both take a ``backend`` argument: ``"reference"`` runs the plain dict-walk
-implementation in this module, ``"bitset"`` the packed big-int kernel from
-:mod:`repro.compaction.kernel`, and ``"auto"`` (the default) picks the
-kernel at or above its measured break-even pattern count.  The two backends
-return bit-identical :class:`CompactionResult` objects; the choice only
-affects speed, and is recorded in the ``compaction.backend.*`` counters.
+Both run the packed kernel from :mod:`repro.compaction.kernel` (the C
+scan, or its pure-Python big-int fallback when no compiler is available).
+The plain dict-walk implementations, :func:`_greedy_reference` and
+:func:`_color_reference`, stay here as the oracles the kernel is tested and
+benchmarked against; they return bit-identical :class:`CompactionResult`
+objects.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from functools import cached_property
 
 from repro.runtime.instrumentation import incr
 from repro.sitest.patterns import SIPattern
-
-BACKENDS = ("auto", "reference", "bitset")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,42 +96,17 @@ class CompactionResult:
     __hash__ = None
 
 
-def _resolve_backend(backend: str, count: int, threshold: int) -> str:
-    """Map a ``backend`` argument to ``"reference"`` or ``"bitset"``."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown compaction backend {backend!r}; choose from {BACKENDS}"
-        )
-    if backend == "auto":
-        return "bitset" if count >= threshold else "reference"
-    return backend
-
-
-def greedy_compact(
-    patterns: Sequence[SIPattern], backend: str = "auto"
-) -> CompactionResult:
+def greedy_compact(patterns: Sequence[SIPattern]) -> CompactionResult:
     """Compact ``patterns`` with the paper's greedy clique-cover heuristic.
 
     In each cycle the first uncompacted pattern seeds a merged pattern,
     which then absorbs every following pattern compatible with the merge
     accumulated so far.  Compatibility respects both symbol intersection
     and the shared-bus-line driver rule.
-
-    Args:
-        patterns: The patterns to compact.
-        backend: ``"reference"``, ``"bitset"``, or ``"auto"`` (bitset at or
-            above :data:`repro.compaction.kernel.GREEDY_AUTO_THRESHOLD`
-            patterns).  Both backends produce identical results.
     """
     from repro.compaction import kernel
 
-    chosen = _resolve_backend(backend, len(patterns),
-                              kernel.GREEDY_AUTO_THRESHOLD)
-    incr(f"compaction.backend.{chosen}")
-    if chosen == "bitset":
-        result = kernel.greedy_compact_bitset(patterns)
-    else:
-        result = _greedy_reference(patterns)
+    result = kernel.greedy_compact_bitset(patterns)
     incr("compaction.greedy_runs")
     incr("compaction.patterns_merged_away",
          result.original_count - result.compacted_count)
@@ -189,27 +162,17 @@ def _greedy_reference(patterns: Sequence[SIPattern]) -> CompactionResult:
     )
 
 
-def color_compact(
-    patterns: Sequence[SIPattern], backend: str = "auto"
-) -> CompactionResult:
+def color_compact(patterns: Sequence[SIPattern]) -> CompactionResult:
     """Compact via greedy coloring of the conflict graph (Welsh–Powell).
 
     Vertices in non-increasing conflict-degree order each take the smallest
     color whose class they are compatible with; every color class becomes
-    one merged pattern.  The reference backend builds the O(n²) pairwise
-    conflict graph; the bitset backend derives per-vertex conflict masks
-    from the packed conflict index and is the ``"auto"`` choice from
-    :data:`repro.compaction.kernel.COLOR_AUTO_THRESHOLD` patterns up.
+    one merged pattern.  Per-vertex conflict masks come from the packed
+    conflict index rather than the reference's O(n²) pairwise walk.
     """
     from repro.compaction import kernel
 
-    chosen = _resolve_backend(backend, len(patterns),
-                              kernel.COLOR_AUTO_THRESHOLD)
-    incr(f"compaction.backend.{chosen}")
-    if chosen == "bitset":
-        result = kernel.color_compact_bitset(patterns)
-    else:
-        result = _color_reference(patterns)
+    result = kernel.color_compact_bitset(patterns)
     incr("compaction.color_runs")
     incr("compaction.patterns_merged_away",
          result.original_count - result.compacted_count)

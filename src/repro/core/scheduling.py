@@ -359,7 +359,7 @@ class IncrementalTamEvaluator(TamEvaluator):
     :class:`TestRail`-keyed cache plays for the reference path.
 
     Scoring is exact — the same integers the reference evaluator would
-    produce — which is what makes the incremental optimizer backend
+    produce — which is what makes the incremental optimizer
     bit-identical.  ``evaluate`` (inherited) still produces the reference
     :class:`Evaluation` for final results.
     """

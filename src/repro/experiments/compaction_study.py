@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.compaction.horizontal import build_si_test_groups
 from repro.experiments.plan import (
+    RETIRED_PARAMS,
     UNCACHED,
     CellSpec,
     ExperimentPlan,
@@ -80,7 +81,7 @@ class CompactionVolume:
         return self.volume_after / self.volume_before
 
 
-def _volume_cell_fn(soc, patterns, parts, seed, backend):
+def _volume_cell_fn(soc, patterns, parts, seed):
     """Plan cell: one grouping (two-dimensional compaction) run.
 
     ``patterns`` is either the raw list (library path) or a
@@ -92,9 +93,7 @@ def _volume_cell_fn(soc, patterns, parts, seed, backend):
 
     if isinstance(patterns, PatternsRef):
         patterns = resolve_patterns(soc, patterns)
-    grouping = build_si_test_groups(
-        soc, patterns, parts=parts, seed=seed, backend=backend
-    )
+    grouping = build_si_test_groups(soc, patterns, parts=parts, seed=seed)
     return grouping_from_dict(grouping_to_dict(grouping))
 
 
@@ -102,8 +101,7 @@ def _volume_params(params: dict) -> tuple:
     soc = params["soc"]
     group_counts = tuple(params["group_counts"])
     seed = params.get("seed", 0)
-    backend = params.get("backend", "auto")
-    return soc, group_counts, seed, backend
+    return soc, group_counts, seed
 
 
 class VolumePlan(PlanKind):
@@ -112,7 +110,7 @@ class VolumePlan(PlanKind):
     name = "volume"
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
-        soc, group_counts, seed, backend = _volume_params(params)
+        soc, group_counts, seed = _volume_params(params)
         if not group_counts:
             raise ValueError("need at least one group count")
         if "patterns" in params:
@@ -143,7 +141,7 @@ class VolumePlan(PlanKind):
                 cell_id=f"grouping/{parts}",
                 kind="grouping",
                 fn=_volume_cell_fn,
-                args=(soc, source, parts, seed, backend),
+                args=(soc, source, parts, seed),
                 cache_key=key_of(parts),
                 shard_key=shard,
             )
@@ -153,7 +151,7 @@ class VolumePlan(PlanKind):
     def assemble(
         self, params: dict, results: dict
     ) -> tuple[CompactionVolume, ...]:
-        soc, group_counts, _seed, _backend = _volume_params(params)
+        soc, group_counts, _seed = _volume_params(params)
         if "patterns" in params:
             patterns_before = len(params["patterns"])
         else:
@@ -189,7 +187,7 @@ class VolumePlan(PlanKind):
         """Accounting invariants every grouping must satisfy: group
         pattern counts sum to the compacted total and never exceed the
         uncompacted count."""
-        soc, group_counts, _seed, _backend = _volume_params(params)
+        soc, group_counts, _seed = _volume_params(params)
         if "patterns" in params:
             patterns_before = len(params["patterns"])
         else:
@@ -221,7 +219,6 @@ def volume_plan(
     group_counts: tuple[int, ...] = (1, 2, 4, 8),
     seed: int = 0,
     generator_config: GeneratorConfig = GeneratorConfig(),
-    backend: str = "auto",
     pattern_seed: int | None = None,
 ) -> ExperimentPlan:
     """The recipe-shaped (cacheable, serializable) volume plan."""
@@ -233,8 +230,8 @@ def volume_plan(
             "group_counts": tuple(group_counts),
             "seed": seed,
             "generator_config": generator_config,
-            "backend": backend,
             "pattern_seed": seed if pattern_seed is None else pattern_seed,
+            **RETIRED_PARAMS["volume"],
         },
     )
 
@@ -245,16 +242,12 @@ def measure_compaction(
     group_counts: tuple[int, ...] = (1, 2, 4, 8),
     seed: int = 0,
     jobs: int = 1,
-    backend: str = "auto",
     verify: bool = False,
 ) -> tuple[CompactionVolume, ...]:
     """Measure data volume across grouping choices.
 
     Group counts are independent, so ``jobs > 1`` fans them out over
-    worker processes without changing the reported volumes.  ``backend``
-    selects the vertical compaction implementation (see
-    :func:`repro.compaction.vertical.greedy_compact`); the volumes are
-    independent of it.
+    worker processes without changing the reported volumes.
 
     Raises:
         ValueError: If ``group_counts`` is empty.
@@ -268,7 +261,6 @@ def measure_compaction(
                 "patterns": list(patterns),
                 "group_counts": tuple(group_counts),
                 "seed": seed,
-                "backend": backend,
             },
         )
     )
@@ -281,7 +273,6 @@ def run_volume_study(
     group_counts: tuple[int, ...] = (1, 2, 4, 8),
     seed: int = 0,
     generator_config: GeneratorConfig = GeneratorConfig(),
-    backend: str = "auto",
     jobs: int = 1,
     cache: EvaluationCache | None = None,
     checkpoint=None,
@@ -304,7 +295,6 @@ def run_volume_study(
             group_counts=group_counts,
             seed=seed,
             generator_config=generator_config,
-            backend=backend,
         )
     )
     return run.report

@@ -56,6 +56,19 @@ from repro.soc.model import Soc
 #: wall-clock measurements a caller explicitly wants re-run).
 UNCACHED = "__uncached__"
 
+#: Params that plans of these kinds carried while the TAM optimizer and
+#: the vertical compactor each had a user-selectable engine.  No plan kind
+#: reads them any more; the plan constructors still merge them in at
+#: their historical default so the fingerprints (checkpoint scopes,
+#: service dedup keys, default plan-scoped cell keys) match those of
+#: plans built before the selectors were removed.
+RETIRED_PARAMS: dict[str, dict] = {
+    "table": {"optimizer_backend": "auto"},
+    "optimize": {"optimizer_backend": "auto"},
+    "evaluate": {"optimizer_backend": "auto"},
+    "volume": {"backend": "auto"},
+}
+
 
 @dataclass(frozen=True)
 class CellRef:

@@ -136,7 +136,6 @@ class SensitivityPlan(PlanKind):
                         CellRef(
                             f"grouping/{index}", project="grouping.groups"
                         ),
-                        "auto",
                     ),
                     key_fn=_optimize_key(soc, w_max),
                     key_deps=(f"grouping/{index}",),

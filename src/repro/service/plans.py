@@ -45,6 +45,13 @@ _DEFAULTS: dict[str, dict] = {
     "evaluate": {"patterns": 0, "parts": 4, "seed": 1},
 }
 
+#: Every option :func:`build_plan` reads; anything else is a typo or a
+#: knob that no longer exists, and is rejected before a job is queued.
+_OPTIONS = frozenset({
+    "patterns", "wmax", "widths", "parts", "seed", "seeds", "cores",
+    "channels", "sa_steps", "arch",
+})
+
 
 def _option(options: dict, defaults: dict, name: str):
     value = options.get(name)
@@ -83,19 +90,24 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
         soc: The target SOC (every kind except ``scaling``).
         **options: ``patterns``, ``wmax``, ``widths``, ``parts``,
             ``seed``, ``seeds``, ``cores``, ``channels``, ``sa_steps``,
-            ``arch`` (architecture JSON path), ``optimizer_backend``,
-            ``compaction_backend`` — unset ones take the kind's CLI
-            defaults.
+            ``arch`` (architecture JSON path) — unset ones take the
+            kind's CLI defaults.
 
     Raises:
-        ValidationError: Unknown kind, missing SOC, or a missing
-            required knob (``wmax``/``arch``).
+        ValidationError: Unknown kind or option, missing SOC, or a
+            missing required knob (``wmax``/``arch``).
     """
     if kind not in SUBMITTABLE_KINDS:
         raise ValidationError(
             f"unknown plan kind {kind!r}; submit accepts: "
             f"{', '.join(SUBMITTABLE_KINDS)}",
             field="kind",
+        )
+    unknown = sorted(set(options) - _OPTIONS)
+    if unknown:
+        raise ValidationError(
+            f"unknown submit option(s) {', '.join(unknown)}",
+            field=unknown[0],
         )
     defaults = _DEFAULTS[kind]
     if soc is None and kind != "scaling":
@@ -106,7 +118,6 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
     parts = _option(options, defaults, "parts")
     seed = _option(options, defaults, "seed")
     wmax = _option(options, defaults, "wmax")
-    optimizer_backend = options.get("optimizer_backend") or "auto"
 
     if kind == "table":
         from repro.experiments.table_runner import (
@@ -123,7 +134,6 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
             widths=tuple(widths),
             group_counts=tuple(parts),
             seed=seed,
-            optimizer_backend=optimizer_backend,
         )
     if kind == "pareto":
         from repro.experiments.pareto import pareto_plan
@@ -142,7 +152,6 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
             patterns,
             group_counts=tuple(parts),
             seed=seed,
-            backend=options.get("compaction_backend") or "auto",
         )
     if kind == "compare":
         from repro.experiments.compare import compare_plan
@@ -193,7 +202,6 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
             pattern_count=patterns,
             parts=parts,
             seed=seed,
-            optimizer_backend=optimizer_backend,
         )
     # kind == "evaluate"
     from repro.experiments.single import evaluate_plan
@@ -206,5 +214,4 @@ def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
         pattern_count=patterns,
         parts=parts,
         seed=seed,
-        optimizer_backend=optimizer_backend,
     )

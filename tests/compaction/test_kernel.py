@@ -1,7 +1,7 @@
-"""Packed-bitset kernel tests: backend equivalence and the encoding itself.
+"""Packed-bitset kernel tests: reference equivalence and the encoding itself.
 
 The kernel's contract is *bit-identical* results: for any input, both
-algorithms must return exactly the reference backend's
+algorithms must return exactly the dict-walk reference's
 :class:`CompactionResult` — same merged patterns, same member partition,
 same ordering.  Hypothesis drives the equivalence over adversarial pattern
 sets (symbol clashes and shared-bus-line driver clashes), an edge battery
@@ -19,13 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compaction.kernel import (
-    COLOR_AUTO_THRESHOLD,
-    GREEDY_AUTO_THRESHOLD,
     PackedPatternSet,
     color_compact_bitset,
     greedy_compact_bitset,
 )
-from repro.compaction.vertical import color_compact, greedy_compact
+from repro.compaction.vertical import (
+    _color_reference,
+    _greedy_reference,
+    color_compact,
+    greedy_compact,
+)
 from repro.native import _DISABLE_VALUES
 from repro.runtime.instrumentation import (
     Instrumentation,
@@ -63,24 +66,20 @@ _patterns = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(_patterns)
 def test_greedy_bitset_matches_reference(patterns):
-    assert greedy_compact_bitset(patterns) == greedy_compact(
-        patterns, backend="reference"
-    )
+    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_patterns)
 def test_color_bitset_matches_reference(patterns):
-    assert color_compact_bitset(patterns) == color_compact(
-        patterns, backend="reference"
-    )
+    assert color_compact_bitset(patterns) == _color_reference(patterns)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_patterns)
 def test_kernel_verify_mode_passes(patterns):
-    greedy_compact_bitset(patterns, verify=True)
-    color_compact_bitset(patterns, verify=True)
+    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
+    assert color_compact_bitset(patterns) == _color_reference(patterns)
 
 
 @pytest.mark.parametrize("soc_name", ["d695", "p93791"])
@@ -88,12 +87,8 @@ def test_kernel_verify_mode_passes(patterns):
 def test_backends_agree_on_benchmark_socs(soc_name, seed):
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, 1_500, seed=seed)
-    assert greedy_compact(patterns, backend="bitset") == greedy_compact(
-        patterns, backend="reference"
-    )
-    assert color_compact(patterns, backend="bitset") == color_compact(
-        patterns, backend="reference"
-    )
+    assert greedy_compact(patterns) == _greedy_reference(patterns)
+    assert color_compact(patterns) == _color_reference(patterns)
 
 
 # --- edge battery -----------------------------------------------------------
@@ -129,8 +124,10 @@ _EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
 def test_edge_cases_match_reference(name):
     patterns = _EDGE_CASES[name]
-    greedy = greedy_compact_bitset(patterns, verify=True)
-    color = color_compact_bitset(patterns, verify=True)
+    greedy = greedy_compact_bitset(patterns)
+    color = color_compact_bitset(patterns)
+    assert greedy == _greedy_reference(patterns)
+    assert color == _color_reference(patterns)
     assert greedy.original_count == len(patterns)
     assert color.original_count == len(patterns)
 
@@ -210,30 +207,7 @@ def test_conflict_masks_match_brute_force():
         assert packed.pattern_indices(mask) == expected
 
 
-# --- dispatch and instrumentation -------------------------------------------
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown compaction backend"):
-        greedy_compact([], backend="numpy")
-    with pytest.raises(ValueError, match="unknown compaction backend"):
-        color_compact([], backend="numpy")
-
-
-def test_auto_backend_selection_counters():
-    small = [SIPattern(cares={(1, 0): "R"})] * 4
-    assert len(small) < COLOR_AUTO_THRESHOLD < GREEDY_AUTO_THRESHOLD
-    instrumentation = Instrumentation()
-    with use_instrumentation(instrumentation):
-        greedy_compact(small)  # auto → reference below the threshold
-        greedy_compact(small, backend="bitset")
-        color_compact(small)
-        color_compact(small, backend="bitset")
-    counters = instrumentation.counters
-    assert counters["compaction.backend.reference"] == 2
-    assert counters["compaction.backend.bitset"] == 2
-    assert counters["compaction.greedy_runs"] == 2
-    assert counters["compaction.color_runs"] == 2
+# --- instrumentation --------------------------------------------------------
 
 
 def test_bitset_kernel_counters():
@@ -258,17 +232,19 @@ def test_bitset_kernel_counters():
 
 
 def test_color_counters_on_both_backends():
+    """The entry point counts its run and what it merged away; the
+    merged count is the reference's."""
     patterns = [
         SIPattern(cares={(1, 0): SYMBOLS[i % 2]}) for i in range(6)
     ]
-    for backend in ("reference", "bitset"):
-        instrumentation = Instrumentation()
-        with use_instrumentation(instrumentation):
-            result = color_compact(patterns, backend=backend)
-        assert instrumentation.counters["compaction.color_runs"] == 1
-        assert instrumentation.counters[
-            "compaction.patterns_merged_away"
-        ] == len(patterns) - result.compacted_count
+    instrumentation = Instrumentation()
+    with use_instrumentation(instrumentation):
+        result = color_compact(patterns)
+    assert result == _color_reference(patterns)
+    assert instrumentation.counters["compaction.color_runs"] == 1
+    assert instrumentation.counters[
+        "compaction.patterns_merged_away"
+    ] == len(patterns) - result.compacted_count
 
 
 # --- scan engines (C vs pure Python) ----------------------------------------
@@ -281,7 +257,7 @@ def test_greedy_python_engine_matches_reference(patterns):
     from repro.compaction.kernel import _greedy_scan_python
 
     member_lists, _pruned, _words = _greedy_scan_python(patterns)
-    reference = greedy_compact(patterns, backend="reference")
+    reference = _greedy_reference(patterns)
     assert tuple(tuple(m) for m in member_lists) == reference.members
 
 
@@ -292,9 +268,7 @@ def test_greedy_bitset_without_cscan_matches_reference(monkeypatch):
     monkeypatch.setattr(_cscan, "greedy_scan", lambda patterns: None)
     soc = load_benchmark("d695")
     patterns = generate_random_patterns(soc, 600, seed=11)
-    assert greedy_compact_bitset(patterns) == greedy_compact(
-        patterns, backend="reference"
-    )
+    assert greedy_compact_bitset(patterns) == _greedy_reference(patterns)
 
 
 def test_scan_engines_agree():
@@ -345,7 +319,6 @@ def _c_scan(patterns):
 
 def _assert_c_matches_reference(patterns):
     from repro.compaction.kernel import _greedy_scan_python
-    from repro.compaction.vertical import _greedy_reference
 
     members, pruned, _words = _c_scan(patterns)
     assert tuple(map(tuple, members)) == _greedy_reference(patterns).members
@@ -439,3 +412,26 @@ def test_c_and_python_scans_agree_on_random_views(d695_patterns, data):
     view = d695_patterns.select(rows)
     members, pruned, _words = _c_scan(view)
     assert (members, pruned) == _greedy_scan_python(view)[:2]
+
+
+def test_entry_points_always_take_the_kernel(monkeypatch):
+    """No size threshold: even a one-pattern input runs the kernel."""
+    from repro.compaction import kernel
+
+    calls = []
+
+    def spy(name):
+        original = getattr(kernel, name)
+
+        def wrapper(patterns):
+            calls.append(name)
+            return original(patterns)
+
+        return wrapper
+
+    for name in ("greedy_compact_bitset", "color_compact_bitset"):
+        monkeypatch.setattr(kernel, name, spy(name))
+    single = [SIPattern(cares={(1, 0): "R"})]
+    assert greedy_compact(single) == _greedy_reference(single)
+    assert color_compact(single) == _color_reference(single)
+    assert calls == ["greedy_compact_bitset", "color_compact_bitset"]

@@ -1,9 +1,10 @@
-"""Golden equivalence: the incremental optimizer backend is bit-identical
-to the reference Algorithm 2.
+"""Golden equivalence: the incremental optimizer is bit-identical to the
+reference Algorithm 2.
 
-The incremental backend mirrors the reference decision sequence — same
+``optimize_tam`` runs the incremental engine for the default cost model.
+It mirrors the reference decision sequence (``_optimize_tam``) — same
 candidate enumeration order, same strict-``<`` selections, same
-tie-breaks — so for every SOC and every pin budget the two backends must
+tie-breaks — so for every SOC and every pin budget the two must
 produce the *same object*: identical ``OptimizationResult`` (architecture,
 evaluation, schedule) down to the last cycle.  This suite pins that
 contract on all four shipped ITC'02 SOCs across the ``W_max`` sweep,
@@ -21,14 +22,13 @@ from __future__ import annotations
 import pytest
 
 from repro.compaction.horizontal import build_si_test_groups
-from repro.core import _movescan
+from repro.core import _movescan, optimizer
 from repro.core.optimizer import (
-    OPTIMIZER_BACKENDS,
+    _optimize_tam,
     evaluate_architecture,
     optimize_tam,
-    resolve_optimizer_backend,
 )
-from repro.core.scheduling import TamEvaluator
+from repro.core.scheduling import IncrementalTamEvaluator, TamEvaluator
 from repro.resilience.verify import verify_optimization
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.sitest.generator import generate_random_patterns
@@ -63,10 +63,12 @@ def suite():
             soc, patterns, parts=PARTS, seed=SEED
         ).groups
         for w_max in widths:
-            reference[(name, w_max)] = optimize_tam(
-                soc, w_max, groups[name], backend="reference"
-            )
+            reference[(name, w_max)] = _reference(soc, w_max, groups[name])
     return socs, groups, reference
+
+
+def _reference(soc, w_max, groups=()):
+    return _optimize_tam(soc, w_max, groups, 1, None)
 
 
 def _assert_identical(reference, incremental):
@@ -81,9 +83,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name,w_max", CASES, ids=IDS)
     def test_with_c_kernel(self, suite, name, w_max):
         socs, groups, reference = suite
-        result = optimize_tam(
-            socs[name], w_max, groups[name], backend="incremental"
-        )
+        result = optimize_tam(socs[name], w_max, groups[name])
         _assert_identical(reference[(name, w_max)], result)
 
     @pytest.mark.parametrize("name,w_max", CASES, ids=IDS)
@@ -92,22 +92,17 @@ class TestBitIdentity:
     ):
         monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", "0")
         socs, groups, reference = suite
-        result = optimize_tam(
-            socs[name], w_max, groups[name], backend="incremental"
-        )
+        result = optimize_tam(socs[name], w_max, groups[name])
         _assert_identical(reference[(name, w_max)], result)
 
     def test_intest_only_matches_reference(self, suite):
         socs, _, _ = suite
         for name in ("d695", "p93791"):
             for w_max in (16, 64):
-                reference = optimize_tam(
-                    socs[name], w_max, (), backend="reference"
+                _assert_identical(
+                    _reference(socs[name], w_max),
+                    optimize_tam(socs[name], w_max, ()),
                 )
-                incremental = optimize_tam(
-                    socs[name], w_max, (), backend="incremental"
-                )
-                _assert_identical(reference, incremental)
 
     def test_environment_toggle_disables_engine(
         self, suite, monkeypatch, reprobe_engines
@@ -115,63 +110,55 @@ class TestBitIdentity:
         monkeypatch.setenv("REPRO_OPTIMIZER_CSCAN", "0")
         assert _movescan.available() is False
         socs, groups, reference = suite
-        result = optimize_tam(
-            socs["d695"], 16, groups["d695"], backend="incremental"
-        )
+        result = optimize_tam(socs["d695"], 16, groups["d695"])
         _assert_identical(reference[("d695", 16)], result)
 
 
 class TestVerifiedAndComposed:
-    """The new backend composes with the surrounding machinery."""
+    """The incremental engine composes with the surrounding machinery."""
 
     @pytest.mark.parametrize("name", [name for name, _ in SWEEP])
     def test_verify_optimization_passes_on_incremental(self, suite, name):
         socs, groups, _ = suite
         w_max = 24 if name == "d695" else 32
-        result = optimize_tam(
-            socs[name], w_max, groups[name], backend="incremental"
-        )
+        result = optimize_tam(socs[name], w_max, groups[name])
         assert verify_optimization(socs[name], result, groups[name]) == []
 
     def test_evaluate_architecture_backends_agree(self, suite):
+        """Full evaluations agree between the plain and the incremental
+        evaluator, so ``evaluate_architecture`` needs only the plain one."""
         socs, groups, reference = suite
         result = reference[("d695", 16)]
-        evaluations = {
-            backend: evaluate_architecture(
-                socs["d695"], result.architecture, groups["d695"],
-                backend=backend,
-            )
-            for backend in OPTIMIZER_BACKENDS
-        }
-        assert evaluations["reference"] == evaluations["incremental"]
-        assert evaluations["auto"] == result.evaluation
+        args = (socs["d695"], groups["d695"])
+        incremental = IncrementalTamEvaluator(*args).evaluate(
+            result.architecture
+        )
+        assert TamEvaluator(*args).evaluate(result.architecture) == incremental
+        assert evaluate_architecture(
+            socs["d695"], result.architecture, groups["d695"]
+        ) == result.evaluation == incremental
 
 
 class TestBackendSelection:
-    def test_auto_resolves_incremental_for_default_model(self):
-        assert resolve_optimizer_backend("auto") == "incremental"
-        assert resolve_optimizer_backend("reference") == "reference"
+    """Which engine ``optimize_tam`` runs, and what it counts."""
 
-    def test_custom_evaluator_forces_reference(self, d695):
-        evaluator = TamEvaluator(d695, ())
-        assert resolve_optimizer_backend("auto", evaluator) == "reference"
-        with pytest.raises(ValueError, match="custom evaluator"):
-            resolve_optimizer_backend("incremental", evaluator)
+    def test_custom_evaluator_forces_reference(self, d695, monkeypatch):
+        """A custom cost model takes the object-based reference path:
+        the incremental scorer replicates the default model only."""
+        calls = []
 
-    def test_unknown_backend_rejected(self, d695):
-        with pytest.raises(ValueError, match="unknown optimizer backend"):
-            optimize_tam(d695, 16, backend="vectorized")
+        class CountingEvaluator(TamEvaluator):
+            def t_total(self, architecture):
+                calls.append(architecture)
+                return super().t_total(architecture)
 
-    def test_backend_counters(self, suite):
-        socs, groups, _ = suite
-        instrumentation = Instrumentation()
-        with use_instrumentation(instrumentation):
-            optimize_tam(
-                socs["d695"], 16, groups["d695"], backend="incremental"
-            )
-        counters = instrumentation.counters
-        assert counters["optimizer.backend.incremental"] == 1
-        assert counters["optimizer.merges_tried"] > 0
+        def refuse(*_args):
+            raise AssertionError("custom evaluator reached the engine")
+
+        monkeypatch.setattr(optimizer, "_IncrementalOptimizer", refuse)
+        result = optimize_tam(d695, 16, evaluator=CountingEvaluator(d695, ()))
+        assert calls
+        _assert_identical(_reference(d695, 16), result)
 
     def test_moves_pruned_counter_fires(self):
         # The ITC'02 instances keep the bounds loose; this synthetic SOC
@@ -183,17 +170,9 @@ class TestBackendSelection:
         soc = synthesize_soc("prune-probe", 6, seed=0)
         instrumentation = Instrumentation()
         with use_instrumentation(instrumentation):
-            incremental = optimize_tam(soc, 6, backend="incremental")
-        assert instrumentation.counters["optimizer.moves_pruned"] > 0
-        _assert_identical(
-            optimize_tam(soc, 6, backend="reference"), incremental
-        )
-
-    def test_reference_counter(self, suite):
-        socs, groups, _ = suite
-        instrumentation = Instrumentation()
-        with use_instrumentation(instrumentation):
-            optimize_tam(
-                socs["d695"], 16, groups["d695"], backend="reference"
-            )
-        assert instrumentation.counters["optimizer.backend.reference"] == 1
+            incremental = optimize_tam(soc, 6)
+        counters = instrumentation.counters
+        assert counters["optimizer.moves_pruned"] > 0
+        assert counters["optimizer.merges_tried"] > 0
+        assert not any(k.startswith("optimizer.backend.") for k in counters)
+        _assert_identical(_reference(soc, 6), incremental)

@@ -1,6 +1,6 @@
 """Property tests for the incremental optimizer kernel.
 
-Two contracts back the ``incremental`` backend's bit-identity and its
+Two contracts back the incremental engine's bit-identity and its
 pruning soundness, and both are checked here on random synthetic SOCs
 (:mod:`repro.soc.synth`) and random architectures:
 

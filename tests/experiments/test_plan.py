@@ -244,7 +244,54 @@ class TestUncachedSentinel:
                 "patterns": list(generate_random_patterns(t5, 50, seed=0)),
                 "group_counts": (1, 2),
                 "seed": 0,
-                "backend": "auto",
             },
         )
         assert all(cell.cache_key == UNCACHED for cell in plan.expand())
+
+
+class TestRetiredParamsFingerprints:
+    """Plans of the kinds that once carried an engine selector keep the
+    fingerprints they had with it, so checkpoints, service dedup keys and
+    default plan-scoped cell keys written before its removal stay valid.
+    The literals were computed with the selector still in place."""
+
+    _ARCH = {"rails": [{"cores": [1, 2], "width": 3},
+                       {"cores": [3, 4, 5], "width": 5}]}
+
+    def test_table_plan(self, t5):
+        from repro.experiments.table_runner import table_plan
+
+        plan = table_plan(t5, 300, widths=(8, 16), group_counts=(1, 2), seed=3)
+        assert plan.fingerprint() == (
+            "plan-3f6e54dcab1796b924ad360cc7e1fee6"
+            "661754e75d1ca7ea9b129ac8c4bd7ba2"
+        )
+
+    def test_optimize_plan(self, d695):
+        from repro.experiments.single import optimize_plan
+
+        plan = optimize_plan(d695, 16, pattern_count=300, parts=2, seed=3)
+        assert plan.fingerprint() == (
+            "plan-67628076c96ed1c4c1a9bb66306ca542"
+            "6b7a4af37f37175da40f281c50b93ef1"
+        )
+
+    def test_evaluate_plan(self, t5):
+        from repro.experiments.single import evaluate_plan
+
+        plan = evaluate_plan(
+            t5, self._ARCH, pattern_count=300, parts=2, seed=3
+        )
+        assert plan.fingerprint() == (
+            "plan-d8d170d4678f8f52edf3868cf2c82783"
+            "7a8c3e8ac5f97ee352cf9ee401d427ad"
+        )
+
+    def test_volume_plan(self, d695):
+        from repro.experiments.compaction_study import volume_plan
+
+        plan = volume_plan(d695, 300, group_counts=(1, 2), seed=3)
+        assert plan.fingerprint() == (
+            "plan-97c40d800352ea977db25009dba9702b"
+            "b28029cf5988623874695aa248a8e5b4"
+        )

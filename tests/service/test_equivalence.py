@@ -148,7 +148,6 @@ def test_submitted_fingerprints_match_cli_plans(t5):
     )
     via_cli_path = table_plan(
         t5, 800, widths=(16, 24), group_counts=(1, 2), seed=1,
-        optimizer_backend="auto",
     )
     assert via_builder.fingerprint() == via_cli_path.fingerprint()
 

@@ -361,5 +361,5 @@ class TestViewCompaction:
             bucket = compaction.source
             assert isinstance(bucket, PatternSet)
             reference = _greedy_reference(list(bucket))
-            assert greedy_compact(bucket, backend="bitset") == reference
+            assert greedy_compact(bucket) == reference
             assert compaction == greedy_compact(list(bucket))

@@ -267,6 +267,45 @@ class TestErrors:
             main(["optimize", "t5"])
 
 
+class TestRemovedEngineSelectors:
+    """Each layer has one engine: the optimizer and compaction selectors
+    are gone, so every use of them is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "t5", "--wmax", "8", "--optimizer-backend", "auto"],
+            ["evaluate", "t5", "--arch", "a.json",
+             "--optimizer-backend", "reference"],
+            ["table", "t5", "--optimizer-backend", "incremental"],
+            ["compact", "t5", "--compaction-backend", "bitset"],
+            ["volume", "t5", "--compaction-backend", "reference"],
+            ["submit", "table", "t5", "--url", "http://127.0.0.1:9",
+             "--optimizer-backend", "auto"],
+            ["submit", "volume", "t5", "--url", "http://127.0.0.1:9",
+             "--compaction-backend", "auto"],
+        ],
+        ids=["optimize", "evaluate", "table", "compact", "volume",
+             "submit-optimizer", "submit-compaction"],
+    )
+    def test_selector_flag_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_run_experiments_selector_rejected(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "tools" / "run_experiments.py"
+        spec = importlib.util.spec_from_file_location("run_experiments", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with pytest.raises(SystemExit) as excinfo:
+            module.parse_args(["--optimizer-backend", "auto"])
+        assert excinfo.value.code == 2
+
+
 class TestCacheMaintenance:
     def _seed_store(self, t5, store_dir):
         from repro.core.optimizer import optimize_tam

@@ -19,9 +19,9 @@ import pytest
 from repro import native
 from repro.compaction import _cscan
 from repro.compaction.kernel import greedy_compact_bitset
-from repro.compaction.vertical import greedy_compact
+from repro.compaction.vertical import _greedy_reference
 from repro.core import _movescan
-from repro.core.optimizer import optimize_tam
+from repro.core.optimizer import _optimize_tam, optimize_tam
 from repro.runtime.instrumentation import Instrumentation, use_instrumentation
 from repro.sitest import _cgen
 from repro.sitest.generator import generate_random_patterns
@@ -37,14 +37,14 @@ needs_compiler = pytest.mark.skipif(
 
 def _cscan_matches_reference(t5, d695) -> None:
     patterns = generate_random_patterns(t5, 200, seed=3)
-    assert greedy_compact_bitset(patterns).members == greedy_compact(
-        patterns, backend="reference"
+    assert greedy_compact_bitset(patterns).members == _greedy_reference(
+        patterns
     ).members
 
 
 def _movescan_matches_reference(t5, d695) -> None:
-    incremental = optimize_tam(d695, 16, backend="incremental")
-    reference = optimize_tam(d695, 16, backend="reference")
+    incremental = optimize_tam(d695, 16)
+    reference = _optimize_tam(d695, 16, (), 1, None)
     assert incremental.architecture == reference.architecture
     assert incremental.evaluation == reference.evaluation
 

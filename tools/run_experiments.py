@@ -112,13 +112,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
              "(width budget, full coverage, no rail overlap, recomputed "
              "T_soc) and abort on any violation",
     )
-    from repro.core.optimizer import OPTIMIZER_BACKENDS
-
-    parser.add_argument(
-        "--optimizer-backend", choices=OPTIMIZER_BACKENDS, default="auto",
-        help="TAM optimizer engine for every sweep cell (all backends "
-             "produce bit-identical tables)",
-    )
     return parser.parse_args(argv)
 
 
@@ -159,7 +152,6 @@ def main(argv: list[str] | None = None) -> int:
                     cache=cache,
                     checkpoint=checkpoint,
                     verify=args.verify,
-                    optimizer_backend=args.optimizer_backend,
                 )
                 prefix = TABLE_OF.get(soc_name, "table")
                 stem = f"{prefix}_{soc_name}_nr{pattern_count}"
@@ -184,7 +176,6 @@ def main(argv: list[str] | None = None) -> int:
                 str(checkpoint.path) if checkpoint is not None else None
             ),
             "verify": args.verify,
-            "optimizer_backend": args.optimizer_backend,
         },
         wall_seconds=time.perf_counter() - start,
         instrumentation=instrumentation,
