@@ -94,7 +94,7 @@ def _best_of(repeats, fn):
     return best
 
 
-def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
+def measure_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
     """Reference vs incremental ``optimize_tam`` over the width sweep."""
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, pattern_count, seed=seed)
@@ -151,7 +151,7 @@ def bench_optimizer(soc_name, widths, repeats, pattern_count, seed, parts):
     }
 
 
-def bench_compaction(soc_name, pattern_count, seed, repeats):
+def measure_compaction(soc_name, pattern_count, seed, repeats):
     """Reference vs packed-bitset vertical compaction throughput."""
     soc = load_benchmark(soc_name)
     patterns = generate_random_patterns(soc, pattern_count, seed=seed)
@@ -177,7 +177,7 @@ def bench_compaction(soc_name, pattern_count, seed, repeats):
     }
 
 
-def bench_table(soc_name, pattern_count, widths, parts, seed):
+def measure_table(soc_name, pattern_count, widths, parts, seed):
     """Cold end-to-end table sweep, then a warm cached rerun."""
     soc = load_benchmark(soc_name)
     with tempfile.TemporaryDirectory() as workdir:
@@ -217,7 +217,7 @@ def bench_table(soc_name, pattern_count, widths, parts, seed):
     )
 
 
-def bench_sweep(regimes, jobs, seed):
+def measure_sweep(regimes, jobs, seed):
     """Serial vs work-stealing workers at ``jobs``, multi-SOC sweep.
 
     Each arm re-runs the same table sweeps end to end; ``speedup`` is
@@ -274,7 +274,7 @@ def bench_sweep(regimes, jobs, seed):
 PLAN_OVERHEAD_BUDGET_PCT = 2.0
 
 
-def bench_plan(soc_name, pattern_count, widths, parts, seed, repeats):
+def measure_plan(soc_name, pattern_count, widths, parts, seed, repeats):
     """Plan-expansion cost + ``PlanRunner`` dispatch overhead.
 
     The table plan is expanded in a tight loop for the per-expansion
@@ -351,7 +351,7 @@ def bench_plan(soc_name, pattern_count, widths, parts, seed, repeats):
 SUPERVISION_OVERHEAD_BUDGET_PCT = 2.0
 
 
-def bench_supervision(
+def measure_supervision(
     soc_name, pattern_count, widths, parts, seed, repeats,
     budget_pct=SUPERVISION_OVERHEAD_BUDGET_PCT,
 ):
@@ -417,7 +417,7 @@ def bench_supervision(
 SERVICE_OVERHEAD_BUDGET_PCT = 5.0
 
 
-def bench_service(
+def measure_service(
     soc_name, pattern_count, widths, parts, seed, repeats,
     budget_pct=SERVICE_OVERHEAD_BUDGET_PCT,
 ):
@@ -511,37 +511,37 @@ def bench_service(
 
 def run(args) -> dict:
     if args.quick:
-        optimizer = bench_optimizer(
+        optimizer = measure_optimizer(
             "p93791", (16, 32), max(1, args.repeats - 1), 200, 7, 4
         )
-        compaction = bench_compaction("d695", 3_000, 7, 2)
-        table, cache = bench_table("d695", 500, (8, 16), (1, 2), 1)
-        sweep = bench_sweep(
+        compaction = measure_compaction("d695", 3_000, 7, 2)
+        table, cache = measure_table("d695", 500, (8, 16), (1, 2), 1)
+        sweep = measure_sweep(
             [("t5", 20_000, (8, 16), (1, 2, 4))], jobs=2, seed=3
         )
-        plan = bench_plan(
+        plan = measure_plan(
             "t5", 20_000, (8, 16), (1, 2, 4), 3, max(1, args.repeats - 1)
         )
         # The sub-second quick sweep is scheduling-noise dominated, so
         # the tight 2% budget only gates the full-scale run; quick mode
         # keeps a coarse sanity ceiling plus the identity check.
-        supervision = bench_supervision(
+        supervision = measure_supervision(
             "t5", 20_000, (8, 16), (1, 2, 4), 3, max(2, args.repeats),
             budget_pct=25.0,
         )
         # Same noise argument as supervision: the quick sweep is short
         # enough that thread scheduling dominates a tight 5% budget.
-        service = bench_service(
+        service = measure_service(
             "t5", 20_000, (8, 16), (1, 2, 4), 3, max(1, args.repeats - 1),
             budget_pct=25.0,
         )
     else:
-        optimizer = bench_optimizer(
+        optimizer = measure_optimizer(
             "p93791", (16, 32, 64), args.repeats, 200, 7, 4
         )
-        compaction = bench_compaction("d695", 10_000, 7, 3)
-        table, cache = bench_table("d695", 2_000, (8, 16, 32), (1, 2, 4), 1)
-        sweep = bench_sweep(
+        compaction = measure_compaction("d695", 10_000, 7, 3)
+        table, cache = measure_table("d695", 2_000, (8, 16, 32), (1, 2, 4), 1)
+        sweep = measure_sweep(
             [
                 ("t5", 60_000, (8, 16), (1, 2, 4)),
                 ("d695", 30_000, (8, 16), (1, 2, 4, 8)),
@@ -549,13 +549,13 @@ def run(args) -> dict:
             jobs=2,
             seed=3,
         )
-        plan = bench_plan(
+        plan = measure_plan(
             "t5", 60_000, (8, 16), (1, 2, 4), 3, args.repeats
         )
-        supervision = bench_supervision(
+        supervision = measure_supervision(
             "t5", 60_000, (8, 16), (1, 2, 4), 3, args.repeats
         )
-        service = bench_service(
+        service = measure_service(
             "t5", 60_000, (8, 16), (1, 2, 4), 3, args.repeats
         )
     return {

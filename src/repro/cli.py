@@ -32,8 +32,10 @@ argparse usage error, 87 = injected fault abort (test harness only).
 Every experiment command (``pareto``, ``scaling``, ``table``,
 ``volume``, ``compare``, ``multisite``, ``sensitivity``, ``stability``)
 runs through the declarative plan layer
-(:mod:`repro.experiments.plan` / :class:`~repro.experiments.runner.PlanRunner`)
-and uniformly accepts ``--jobs``, ``--cache``, ``--resume`` and
+(:mod:`repro.experiments.plan` / :class:`~repro.experiments.runner.PlanRunner`).
+Its options, like those of ``submit <kind>``, are generated from the
+kind's declared :attr:`~repro.experiments.plan.PlanKind.params`, and it
+uniformly accepts ``--jobs``, ``--cache``, ``--resume`` and
 ``--verify``, plus ``--profile`` for the unified JSON run report
 (``docs/experiments.md``).  ``optimize`` and ``evaluate`` also accept
 ``--verify`` for the independent schedule post-condition verifier
@@ -48,13 +50,16 @@ import argparse
 import sys
 import time
 
-from repro.compaction.horizontal import build_si_test_groups
+from repro.compaction.horizontal import build_si_test_groups, random_si_groups
 from repro.core.optimizer import optimize_tam
-from repro.experiments.reporting import save_result
-from repro.experiments.table_runner import (
-    DEFAULT_GROUP_COUNTS,
-    DEFAULT_WIDTHS,
+from repro.experiments.plan import (
+    Param,
+    PlanKind,
+    build_plan,
+    plan_kind,
+    registered_plans,
 )
+from repro.experiments.reporting import save_result
 from repro.sitest.generator import generate_random_patterns
 from repro.soc.benchmarks import available_benchmarks, load_benchmark
 from repro.soc.itc02 import parse_file
@@ -152,17 +157,22 @@ def _render_partial(run) -> None:
     )
 
 
-def _run_plan(args: argparse.Namespace, command: str, make_plan,
-              arguments: dict, render) -> int:
-    """Execute one experiment plan under the uniform runtime flags.
+def _plan_options(args: argparse.Namespace, kind: PlanKind) -> dict:
+    """The command line's value of each option ``kind`` declares."""
+    return {param.name: getattr(args, param.name) for param in kind.params}
 
-    ``make_plan`` is called inside the instrumentation context (so any
-    parent-side preparation it does — e.g. building SI groups — is
-    counted), then the plan runs through :class:`PlanRunner` with the
-    command's ``--jobs/--cache/--resume/--verify``
-    settings and ``render(run)`` prints the command's output.
-    ``--profile`` then emits the unified run report
-    (:func:`repro.experiments.reporting.experiment_report`).
+
+def _cmd_plan(args: argparse.Namespace) -> int:
+    """Run an experiment command: build its kind's plan from the declared
+    options and execute it under the uniform runtime flags.
+
+    The plan is built inside the instrumentation context (so any
+    parent-side preparation — e.g. building SI groups — is counted), then
+    runs through :class:`PlanRunner` with the command's
+    ``--jobs/--cache/--resume/--verify/--policy`` settings, and the kind's
+    renderer prints the report.  ``--profile`` then emits the unified run
+    report (:func:`repro.experiments.reporting.experiment_report`), whose
+    ``arguments`` are the SOC, the declared options and the runtime flags.
 
     Returns the uniform exit code for the run's status
     (:mod:`repro.runtime.status`): 0 ok, 3 partial.
@@ -171,31 +181,35 @@ def _run_plan(args: argparse.Namespace, command: str, make_plan,
     from repro.runtime import Instrumentation, use_instrumentation
     from repro.runtime.status import exit_code, run_status
 
+    kind = plan_kind(args.command)
+    options = _plan_options(args, kind)
+    soc = _load_soc(args.soc) if kind.needs_soc else None
     cache = _make_cache(args)
     instrumentation = Instrumentation()
     start = time.perf_counter()
     with use_instrumentation(instrumentation):
-        plan = make_plan()
+        plan = build_plan(kind.name, soc, **options)
         checkpoint = _make_checkpoint(args, plan)
         runner = PlanRunner(
             jobs=args.jobs,
             cache=cache,
             checkpoint=checkpoint,
-            verify=getattr(args, "verify", False),
+            verify=args.verify,
             policy=_make_policy(args),
         )
         run = runner.run(plan)
     if run.status == "partial":
         _render_partial(run)
     else:
-        render(run)
-    destination = getattr(args, "profile", None)
+        _print_report(args, run)
+    destination = args.profile
     if destination is not None:
         from repro.experiments.reporting import experiment_report
 
+        arguments = {"soc": args.soc} if kind.needs_soc else {}
         report = experiment_report(
-            command,
-            arguments,
+            kind.name,
+            {**arguments, **options, **_runtime_arguments(args)},
             run,
             wall_seconds=time.perf_counter() - start,
             instrumentation=instrumentation,
@@ -209,14 +223,29 @@ def _run_plan(args: argparse.Namespace, command: str, make_plan,
     return exit_code(run_status(run))
 
 
-def _plan_renderer(kind: str):
-    """The shared per-kind report renderer
-    (:func:`repro.experiments.render.render_report`) as a ``render``
-    callback for :func:`_run_plan` — the same registry the service uses,
-    so CLI output and service job results are byte-identical."""
+def _print_report(args: argparse.Namespace, run) -> None:
+    """Print a finished run's report through the kind's renderer
+    (:func:`repro.experiments.render.render_report`) — the same one the
+    service uses, so CLI output and service job results are
+    byte-identical.  The table command adds what is not part of its
+    report: ``--verbose`` progress, the wall-clock ``(elapsed: ...)``
+    line and the ``--json`` summary."""
     from repro.experiments.render import render_report
 
-    return lambda run: print(render_report(kind, run.report))
+    report = run.report
+    if args.command != "table":
+        print(render_report(args.command, report))
+        return
+    from repro.experiments.table_runner import print_table_progress
+
+    report.elapsed_seconds = run.wall_seconds
+    if args.verbose:
+        print_table_progress(report)
+    print(render_report("table", report))
+    print(f"(elapsed: {report.elapsed_seconds:.1f}s)")
+    if args.json:
+        save_result(report, args.json)
+        print(f"JSON written to {args.json}")
 
 
 def _add_verify_flag(parser: argparse.ArgumentParser) -> None:
@@ -246,6 +275,34 @@ def _verify_or_fail(soc, architecture, evaluation, groups,
     print()
     print("schedule verification passed")
     return 0
+
+
+def add_param_flag(parser: argparse.ArgumentParser, param: Param) -> None:
+    """Declare a plan kind's option as a ``--flag`` of ``parser``."""
+    parser.add_argument(
+        "--" + param.name.replace("_", "-"),
+        type=param.type,
+        nargs="+" if param.many else None,
+        default=list(param.default) if param.many else param.default,
+        required=param.required,
+        help=param.help,
+    )
+
+
+def _plan_parser(sub, kind: PlanKind, name: str | None = None,
+                 help: str | None = None, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand taking ``kind``'s SOC positional (if it needs one)
+    and one flag per declared option.  Flags must be spelled out: an
+    abbreviation would let ``--seed`` pass for ``--seeds``."""
+    parser = sub.add_parser(
+        name or kind.name, help=help or kind.summary, allow_abbrev=False,
+        **kwargs,
+    )
+    if kind.needs_soc:
+        parser.add_argument("soc", help="benchmark name or .soc file path")
+    for param in kind.params:
+        add_param_flag(parser, param)
+    return parser
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -334,12 +391,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     soc = _load_soc(args.soc)
-    groups = ()
-    if args.patterns:
-        patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
-        grouping = build_si_test_groups(soc, patterns, parts=args.parts,
-                                        seed=args.seed)
-        groups = grouping.groups
+    groups = random_si_groups(soc, args.patterns, args.parts, args.seed)
     result = optimize_tam(soc, args.wmax, groups=groups)
     evaluation = result.evaluation
     print(
@@ -374,7 +426,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     soc = _load_soc(args.soc)
     architecture = load_architecture(args.arch)
-    groups = _si_groups_for(args, soc)
+    groups = random_si_groups(soc, args.patterns, args.parts, args.seed)
     evaluation = evaluate_architecture(soc, architecture, groups)
     print(
         f"T_total = {evaluation.t_total} cc "
@@ -386,110 +438,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.experiments.pareto import pareto_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "pareto",
-        lambda: pareto_plan(
-            soc, tuple(args.widths), groups=_si_groups_for(args, soc)
-        ),
-        {
-            "soc": args.soc,
-            "widths": list(args.widths),
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("pareto"),
-    )
-
-
-def _cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.experiments.scaling import scaling_plan
-
-    return _run_plan(
-        args,
-        "scaling",
-        lambda: scaling_plan(
-            tuple(args.cores),
-            w_max=args.wmax,
-            pattern_count=args.patterns,
-            parts=args.parts,
-            seed=args.seed,
-        ),
-        {
-            "cores": list(args.cores),
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("scaling"),
-    )
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.experiments.table_runner import (
-        print_table_progress,
-        table_plan,
-    )
-
-    soc = _load_soc(args.soc)
-
-    def render(run) -> None:
-        from repro.experiments.render import render_report
-
-        result = run.report
-        result.elapsed_seconds = run.wall_seconds
-        if args.verbose:
-            print_table_progress(result)
-        print(render_report("table", result))
-        print(f"(elapsed: {result.elapsed_seconds:.1f}s)")
-        if args.json:
-            save_result(result, args.json)
-            print(f"JSON written to {args.json}")
-
-    return _run_plan(
-        args,
-        "table",
-        lambda: table_plan(
-            soc,
-            args.patterns,
-            widths=tuple(args.widths),
-            group_counts=tuple(args.parts),
-            seed=args.seed,
-        ),
-        {
-            "soc": args.soc,
-            "patterns": args.patterns,
-            "widths": list(args.widths),
-            "parts": list(args.parts),
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        render,
-    )
-
-
-def _si_groups_for(args: argparse.Namespace, soc: Soc):
-    if not args.patterns:
-        return ()
-    patterns = generate_random_patterns(soc, args.patterns, seed=args.seed)
-    return build_si_test_groups(
-        soc, patterns, parts=args.parts, seed=args.seed
-    ).groups
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     from repro.core.bounds import bound_report
 
     soc = _load_soc(args.soc)
-    groups = _si_groups_for(args, soc)
+    groups = random_si_groups(soc, args.patterns, args.parts, args.seed)
     report = bound_report(soc, args.wmax, groups)
     result = optimize_tam(soc, args.wmax, groups=groups)
     print(f"core floor:        {report.core_floor} cc")
@@ -512,7 +465,7 @@ def _cmd_svg(args: argparse.Namespace) -> int:
     from repro.tam.svg import write_schedule_svg
 
     soc = _load_soc(args.soc)
-    groups = _si_groups_for(args, soc)
+    groups = random_si_groups(soc, args.patterns, args.parts, args.seed)
     result = optimize_tam(soc, args.wmax, groups=groups)
     write_schedule_svg(soc, result.architecture, result.evaluation, args.out)
     print(f"wrote {args.out} (T_total = {result.t_total} cc)")
@@ -528,30 +481,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}")
     print(soc.describe())
     return 0
-
-
-def _cmd_volume(args: argparse.Namespace) -> int:
-    from repro.experiments.compaction_study import volume_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "volume",
-        lambda: volume_plan(
-            soc,
-            args.patterns,
-            group_counts=tuple(args.parts),
-            seed=args.seed,
-        ),
-        {
-            "soc": args.soc,
-            "patterns": args.patterns,
-            "parts": list(args.parts),
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("volume"),
-    )
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
@@ -579,101 +508,10 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     from repro.core.whatif import format_whatif_report, what_if
 
     soc = _load_soc(args.soc)
-    groups = _si_groups_for(args, soc)
+    groups = random_si_groups(soc, args.patterns, args.parts, args.seed)
     result = optimize_tam(soc, args.wmax, groups=groups)
     print(format_whatif_report(what_if(soc, result.architecture, groups)))
     return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.compare import compare_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "compare",
-        lambda: compare_plan(
-            soc,
-            args.wmax,
-            groups=_si_groups_for(args, soc),
-            annealing_steps=args.sa_steps,
-        ),
-        {
-            "soc": args.soc,
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            "sa_steps": args.sa_steps,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("compare"),
-    )
-
-
-def _cmd_multisite(args: argparse.Namespace) -> int:
-    from repro.experiments.multisite import multisite_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "multisite",
-        lambda: multisite_plan(
-            soc, args.channels, groups=_si_groups_for(args, soc)
-        ),
-        {
-            "soc": args.soc,
-            "channels": args.channels,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("multisite"),
-    )
-
-
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.experiments.sensitivity import sensitivity_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "sensitivity",
-        lambda: sensitivity_plan(
-            soc, args.patterns, args.wmax, parts=args.parts, seed=args.seed
-        ),
-        {
-            "soc": args.soc,
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "parts": args.parts,
-            "seed": args.seed,
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("sensitivity"),
-    )
-
-
-def _cmd_stability(args: argparse.Namespace) -> int:
-    from repro.experiments.stability import stability_plan
-
-    soc = _load_soc(args.soc)
-    return _run_plan(
-        args,
-        "stability",
-        lambda: stability_plan(
-            soc, args.patterns, args.wmax, seeds=tuple(args.seeds)
-        ),
-        {
-            "soc": args.soc,
-            "wmax": args.wmax,
-            "patterns": args.patterns,
-            "seeds": list(args.seeds),
-            **_runtime_arguments(args),
-        },
-        _plan_renderer("stability"),
-    )
 
 
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
@@ -751,23 +589,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.runtime.status import STATUS_FAILED, exit_code
-    from repro.service import ServiceClient, build_plan
+    from repro.service import ServiceClient
 
-    soc = _load_soc(args.soc) if args.soc is not None else None
-    plan = build_plan(
-        args.kind,
-        soc,
-        patterns=args.patterns,
-        wmax=args.wmax,
-        widths=args.widths,
-        parts=args.parts,
-        seed=args.seed,
-        seeds=args.seeds,
-        cores=args.cores,
-        channels=args.channels,
-        sa_steps=args.sa_steps,
-        arch=args.arch,
-    )
+    kind = plan_kind(args.kind)
+    soc = _load_soc(args.soc) if kind.needs_soc else None
+    plan = build_plan(kind.name, soc, **_plan_options(args, kind))
     client = ServiceClient(args.url, timeout=args.timeout)
     response = client.submit(
         plan, priority=args.priority, fresh=args.fresh, tag=args.tag
@@ -866,14 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compact.set_defaults(func=_cmd_compact)
 
-    optimize = sub.add_parser("optimize", help="optimize a test architecture")
-    optimize.add_argument("soc")
-    optimize.add_argument("--wmax", type=int, required=True,
-                          help="SOC TAM width budget W_max")
-    optimize.add_argument("--patterns", type=int, default=0,
-                          help="SI pattern count (0 = InTest only)")
-    optimize.add_argument("--parts", type=int, default=4)
-    optimize.add_argument("--seed", type=int, default=1)
+    optimize_kind = plan_kind("optimize")
+    optimize = _plan_parser(sub, optimize_kind)
     optimize.add_argument("--utilization", action="store_true",
                           help="also print the per-rail utilization report")
     optimize.add_argument("--save-arch",
@@ -881,62 +701,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verify_flag(optimize)
     optimize.set_defaults(func=_cmd_optimize)
 
-    evaluate = sub.add_parser(
-        "evaluate", help="price a saved architecture against a test set"
-    )
-    evaluate.add_argument("soc")
-    evaluate.add_argument("--arch", required=True,
-                          help="architecture JSON from 'optimize --save-arch'")
-    evaluate.add_argument("--patterns", type=int, default=0)
-    evaluate.add_argument("--parts", type=int, default=4)
-    evaluate.add_argument("--seed", type=int, default=1)
+    evaluate = _plan_parser(sub, plan_kind("evaluate"))
     _add_verify_flag(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
 
-    pareto = sub.add_parser(
-        "pareto", help="sweep W_max and report the trade-off curve"
-    )
-    pareto.add_argument("soc")
-    pareto.add_argument("--widths", type=int, nargs="+",
-                        default=[8, 16, 24, 32, 40, 48, 56, 64])
-    pareto.add_argument("--patterns", type=int, default=0)
-    pareto.add_argument("--parts", type=int, default=4)
-    pareto.add_argument("--seed", type=int, default=1)
-    _add_experiment_flags(pareto)
-    pareto.set_defaults(func=_cmd_pareto)
+    for name in registered_plans():
+        if name in ("optimize", "evaluate"):
+            continue
+        experiment = _plan_parser(sub, plan_kind(name))
+        if name == "table":
+            experiment.add_argument(
+                "--json", help="also write a JSON summary here"
+            )
+            experiment.add_argument("--verbose", action="store_true")
+        _add_experiment_flags(experiment)
+        experiment.set_defaults(func=_cmd_plan)
 
-    scaling = sub.add_parser(
-        "scaling", help="optimizer scaling study on synthetic SOCs"
-    )
-    scaling.add_argument("--cores", type=int, nargs="+",
-                         default=[8, 16, 24, 32])
-    scaling.add_argument("--wmax", type=int, default=32)
-    scaling.add_argument("--patterns", type=int, default=2_000)
-    scaling.add_argument("--parts", type=int, default=4)
-    scaling.add_argument("--seed", type=int, default=0)
-    _add_experiment_flags(scaling)
-    scaling.set_defaults(func=_cmd_scaling)
-
-    table = sub.add_parser("table", help="regenerate a Table 2/3 experiment")
-    table.add_argument("soc")
-    table.add_argument("--patterns", type=int, default=10_000)
-    table.add_argument("--widths", type=int, nargs="+",
-                       default=list(DEFAULT_WIDTHS))
-    table.add_argument("--parts", type=int, nargs="+",
-                       default=list(DEFAULT_GROUP_COUNTS))
-    table.add_argument("--seed", type=int, default=1)
-    table.add_argument("--json", help="also write a JSON summary here")
-    table.add_argument("--verbose", action="store_true")
-    _add_experiment_flags(table)
-    table.set_defaults(func=_cmd_table)
-
-    bounds = sub.add_parser("bounds",
-                            help="lower bounds and the optimality gap")
-    bounds.add_argument("soc")
-    bounds.add_argument("--wmax", type=int, required=True)
-    bounds.add_argument("--patterns", type=int, default=0)
-    bounds.add_argument("--parts", type=int, default=4)
-    bounds.add_argument("--seed", type=int, default=1)
+    bounds = _plan_parser(sub, optimize_kind, "bounds",
+                          "lower bounds and the optimality gap")
     bounds.set_defaults(func=_cmd_bounds)
 
     overhead = sub.add_parser("overhead",
@@ -944,12 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     overhead.add_argument("soc")
     overhead.set_defaults(func=_cmd_overhead)
 
-    svg = sub.add_parser("svg", help="export the schedule as an SVG figure")
-    svg.add_argument("soc")
-    svg.add_argument("--wmax", type=int, required=True)
-    svg.add_argument("--patterns", type=int, default=0)
-    svg.add_argument("--parts", type=int, default=4)
-    svg.add_argument("--seed", type=int, default=1)
+    svg = _plan_parser(sub, optimize_kind, "svg",
+                       "export the schedule as an SVG figure")
     svg.add_argument("--out", default="schedule.svg")
     svg.set_defaults(func=_cmd_svg)
 
@@ -961,16 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", default="synth.soc")
     synth.set_defaults(func=_cmd_synth)
 
-    volume = sub.add_parser(
-        "volume", help="test-data-volume study of 2-D compaction"
-    )
-    volume.add_argument("soc")
-    volume.add_argument("--patterns", type=int, default=5_000)
-    volume.add_argument("--parts", type=int, nargs="+", default=[1, 2, 4, 8])
-    volume.add_argument("--seed", type=int, default=1)
-    _add_experiment_flags(volume)
-    volume.set_defaults(func=_cmd_volume)
-
     coverage = sub.add_parser(
         "coverage", help="MA fault coverage of a random pattern set"
     )
@@ -981,60 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.add_argument("--seed", type=int, default=1)
     coverage.set_defaults(func=_cmd_coverage)
 
-    whatif = sub.add_parser(
-        "whatif", help="marginal pin/move analysis of the optimized design"
-    )
-    whatif.add_argument("soc")
-    whatif.add_argument("--wmax", type=int, required=True)
-    whatif.add_argument("--patterns", type=int, default=0)
-    whatif.add_argument("--parts", type=int, default=4)
-    whatif.add_argument("--seed", type=int, default=1)
+    whatif = _plan_parser(sub, optimize_kind, "whatif",
+                          "marginal pin/move analysis of the optimized design")
     whatif.set_defaults(func=_cmd_whatif)
-
-    compare = sub.add_parser(
-        "compare", help="head-to-head optimizer comparison"
-    )
-    compare.add_argument("soc")
-    compare.add_argument("--wmax", type=int, required=True)
-    compare.add_argument("--patterns", type=int, default=0)
-    compare.add_argument("--parts", type=int, default=4)
-    compare.add_argument("--seed", type=int, default=1)
-    compare.add_argument("--sa-steps", type=int, default=4_000)
-    _add_experiment_flags(compare)
-    compare.set_defaults(func=_cmd_compare)
-
-    multisite = sub.add_parser(
-        "multisite", help="multi-site throughput study"
-    )
-    multisite.add_argument("soc")
-    multisite.add_argument("--channels", type=int, default=64,
-                           help="total tester channel budget")
-    multisite.add_argument("--patterns", type=int, default=0)
-    multisite.add_argument("--parts", type=int, default=4)
-    multisite.add_argument("--seed", type=int, default=1)
-    _add_experiment_flags(multisite)
-    multisite.set_defaults(func=_cmd_multisite)
-
-    sensitivity = sub.add_parser(
-        "sensitivity", help="generator-knob sensitivity study"
-    )
-    sensitivity.add_argument("soc")
-    sensitivity.add_argument("--wmax", type=int, default=32)
-    sensitivity.add_argument("--patterns", type=int, default=2_000)
-    sensitivity.add_argument("--parts", type=int, default=4)
-    sensitivity.add_argument("--seed", type=int, default=1)
-    _add_experiment_flags(sensitivity)
-    sensitivity.set_defaults(func=_cmd_sensitivity)
-
-    stability = sub.add_parser(
-        "stability", help="seed-stability of the table metrics"
-    )
-    stability.add_argument("soc")
-    stability.add_argument("--wmax", type=int, default=24)
-    stability.add_argument("--patterns", type=int, default=2_000)
-    stability.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    _add_experiment_flags(stability)
-    stability.set_defaults(func=_cmd_stability)
 
     serve = sub.add_parser(
         "serve", help="run the optimization service (HTTP job server)"
@@ -1077,55 +794,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(func=_cmd_serve)
 
-    submit = sub.add_parser(
-        "submit", help="submit an experiment to a running service"
-    )
-    submit.add_argument(
-        "kind",
-        help="plan kind: table, pareto, volume, compare, multisite, "
-        "scaling, sensitivity, stability, optimize, evaluate",
-    )
-    submit.add_argument(
-        "soc", nargs="?", default=None,
-        help="benchmark name or .soc path (omit for 'scaling')",
-    )
-    submit.add_argument(
+    submit_flags = argparse.ArgumentParser(add_help=False)
+    submit_flags.add_argument(
         "--url", default="http://127.0.0.1:8787",
         help="service base URL",
     )
-    submit.add_argument("--patterns", type=int, default=None)
-    submit.add_argument("--wmax", type=int, default=None)
-    submit.add_argument("--widths", type=int, nargs="+", default=None)
-    submit.add_argument("--parts", type=int, nargs="+", default=None)
-    submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--seeds", type=int, nargs="+", default=None)
-    submit.add_argument("--cores", type=int, nargs="+", default=None)
-    submit.add_argument("--channels", type=int, default=None)
-    submit.add_argument("--sa-steps", type=int, default=None)
-    submit.add_argument(
-        "--arch", default=None,
-        help="architecture JSON (the 'evaluate' kind)",
-    )
-    submit.add_argument(
+    submit_flags.add_argument(
         "--priority", type=int, default=0,
         help="queue priority (higher runs first; -100..100)",
     )
-    submit.add_argument(
+    submit_flags.add_argument(
         "--fresh", action="store_true",
         help="bypass dedup: force a new job even if an identical plan "
         "is already queued, running, or finished",
     )
-    submit.add_argument("--tag", default=None, help="free-form job label")
-    submit.add_argument(
+    submit_flags.add_argument("--tag", default=None,
+                              help="free-form job label")
+    submit_flags.add_argument(
         "--no-wait", action="store_true",
         help="print the job id and return immediately instead of "
         "waiting for the result",
     )
-    submit.add_argument(
+    submit_flags.add_argument(
         "--timeout", type=float, default=3600.0,
         help="seconds to wait for the result",
     )
-    submit.set_defaults(func=_cmd_submit)
+    submit = sub.add_parser(
+        "submit", help="submit an experiment to a running service"
+    )
+    submit_kinds = submit.add_subparsers(
+        dest="kind", required=True, metavar="kind"
+    )
+    for name in registered_plans():
+        _plan_parser(
+            submit_kinds, plan_kind(name), parents=[submit_flags]
+        ).set_defaults(func=_cmd_submit)
 
     jobs_cmd = sub.add_parser(
         "jobs", help="list or inspect jobs on a running service"

@@ -105,6 +105,20 @@ def build_si_test_groups(
                                      jobs)
 
 
+def random_si_groups(
+    soc: Soc, pattern_count: int, parts: int, seed: int
+) -> tuple[SITestGroup, ...]:
+    """The SI test groups of ``pattern_count`` random SI patterns drawn
+    and partitioned with ``seed`` into ``parts`` core groups; none when
+    ``pattern_count`` is 0 (InTest only)."""
+    if not pattern_count:
+        return ()
+    from repro.sitest.generator import generate_random_patterns
+
+    patterns = generate_random_patterns(soc, pattern_count, seed=seed)
+    return build_si_test_groups(soc, patterns, parts=parts, seed=seed).groups
+
+
 def _build_si_test_groups(
     soc: Soc,
     patterns: Sequence[SIPattern],

@@ -39,7 +39,9 @@ from repro.experiments.plan import (
     CellRef,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
+    build_plan,
     plan_from_dict,
     plan_kind,
     plan_to_dict,
@@ -97,6 +99,7 @@ __all__ = [
     "MultisiteStudy",
     "ParetoCurve",
     "ParetoPoint",
+    "Param",
     "PlanKind",
     "PlanRun",
     "PlanRunner",
@@ -107,6 +110,7 @@ __all__ = [
     "StabilityRow",
     "TableResult",
     "TableRow",
+    "build_plan",
     "compare_optimizers",
     "compare_plan",
     "experiment_report",

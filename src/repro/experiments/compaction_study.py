@@ -32,6 +32,7 @@ from repro.experiments.plan import (
     UNCACHED,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
 )
@@ -108,6 +109,18 @@ class VolumePlan(PlanKind):
     """The volume study as a declarative cell graph (module docstring)."""
 
     name = "volume"
+    summary = "test-data-volume study of 2-D compaction"
+    params = (
+        Param("patterns", 5_000),
+        Param("parts", (1, 2, 4, 8), many=True),
+        Param("seed", 1),
+    )
+
+    def from_options(self, soc, patterns, parts, seed):
+        return volume_plan(soc, patterns, group_counts=parts, seed=seed)
+
+    def render(self, report: tuple[CompactionVolume, ...]) -> str:
+        return format_volume_report(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         soc, group_counts, seed = _volume_params(params)

@@ -23,15 +23,18 @@ import time
 from dataclasses import dataclass
 
 from repro.compaction.groups import SITestGroup
+from repro.compaction.horizontal import random_si_groups
 from repro.core.annealing import AnnealingConfig, anneal_tam
 from repro.core.bounds import bound_report
 from repro.core.exact import MAX_EXACT_CORES, exact_optimize
 from repro.core.optimizer import optimize_tam
 from repro.core.scheduling import TamEvaluator
 from repro.experiments.plan import (
+    SI_PARAMS,
     CellRef,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
     register_projection,
@@ -203,6 +206,23 @@ class ComparePlan(PlanKind):
     """The optimizer shoot-out as a declarative cell graph."""
 
     name = "compare"
+    summary = "head-to-head optimizer comparison"
+    params = (
+        Param("wmax", required=True),
+        *SI_PARAMS,
+        Param("sa_steps", 4_000),
+    )
+
+    def from_options(self, soc, wmax, patterns, parts, seed, sa_steps):
+        return compare_plan(
+            soc,
+            wmax,
+            groups=random_si_groups(soc, patterns, parts, seed),
+            annealing_steps=sa_steps,
+        )
+
+    def render(self, report: Comparison) -> str:
+        return format_comparison(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         soc, w_max, groups, _steps, _exact = _compare_params(params)

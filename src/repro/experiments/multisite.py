@@ -21,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compaction.groups import SITestGroup
+from repro.compaction.horizontal import random_si_groups
 from repro.core.optimizer import optimize_tam
 from repro.experiments.plan import (
+    SI_PARAMS,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
 )
@@ -95,6 +98,19 @@ class MultisitePlan(PlanKind):
     """The multisite sweep as a declarative cell graph."""
 
     name = "multisite"
+    summary = "multi-site throughput study"
+    params = (
+        Param("channels", 64, help="total tester channel budget"),
+        *SI_PARAMS,
+    )
+
+    def from_options(self, soc, channels, patterns, parts, seed):
+        return multisite_plan(
+            soc, channels, groups=random_si_groups(soc, patterns, parts, seed)
+        )
+
+    def render(self, report: MultisiteStudy) -> str:
+        return format_multisite_report(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         soc, channels, groups, site_counts = _multisite_params(params)

@@ -20,10 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compaction.groups import SITestGroup
+from repro.compaction.horizontal import random_si_groups
 from repro.core.optimizer import optimize_tam
 from repro.experiments.plan import (
+    SI_PARAMS,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
 )
@@ -111,6 +114,19 @@ class ParetoPlan(PlanKind):
     """The width sweep as a declarative cell graph."""
 
     name = "pareto"
+    summary = "sweep W_max and report the trade-off curve"
+    params = (
+        Param("widths", (8, 16, 24, 32, 40, 48, 56, 64), many=True),
+        *SI_PARAMS,
+    )
+
+    def from_options(self, soc, widths, patterns, parts, seed):
+        return pareto_plan(
+            soc, widths, groups=random_si_groups(soc, patterns, parts, seed)
+        )
+
+    def render(self, report: ParetoCurve) -> str:
+        return format_curve(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         soc, widths, groups, capture_cycles = _pareto_params(params)

@@ -372,15 +372,77 @@ class ExperimentPlan:
         return plan_kind(self.name).assemble(dict(self.params), dict(results))
 
 
+@dataclass(frozen=True)
+class Param:
+    """One option a plan kind reads from its caller: a keyword of
+    :func:`build_plan`, and the ``--name`` flag of the kind's CLI command
+    and of ``repro submit <kind>``.
+
+    Attributes:
+        name: Option name (``sa_steps`` is the ``--sa-steps`` flag).
+        default: Value taken when the caller leaves the option unset.
+        type: Type of the value, or of each value when ``many``.
+        many: Whether the option takes a list of values.
+        required: Whether the caller must set the option.
+        help: Help text of the flag.
+    """
+
+    name: str
+    default: object = None
+    type: type = int
+    many: bool = False
+    required: bool = False
+    help: str | None = None
+
+    def accepts(self, value) -> bool:
+        """Whether ``value`` has the declared type and shape."""
+        if not self.many:
+            return isinstance(value, self.type)
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) > 0
+            and all(isinstance(item, self.type) for item in value)
+        )
+
+
+#: The SI test set options of the kinds that take one set of SI groups:
+#: ``patterns`` random SI patterns split into ``parts`` core groups, both
+#: drawn with ``seed`` (see
+#: :func:`~repro.compaction.horizontal.random_si_groups`).
+SI_PARAMS = (
+    Param("patterns", 0, help="SI pattern count (0 = InTest only)"),
+    Param("parts", 4, help="number of core groups"),
+    Param("seed", 1),
+)
+
+
 class PlanKind:
     """One experiment family: how a plan expands and assembles.
 
     Subclasses set :attr:`name`, implement :meth:`expand` and
     :meth:`assemble`, and may override :meth:`verify` to re-check
-    results independently (the ``--verify`` contract).
+    results independently (the ``--verify`` contract).  A kind that is
+    built from options (its CLI command, ``repro submit``) declares them
+    once in :attr:`params`, builds its plan from them in
+    :meth:`from_options`, and renders its report in :meth:`render`.
     """
 
     name: str = ""
+    #: One-line description: the help of the kind's CLI command.
+    summary: str = ""
+    #: The options :meth:`from_options` takes, in flag order.
+    params: tuple[Param, ...] = ()
+    #: Whether :meth:`from_options` needs a target SOC.
+    needs_soc: bool = True
+
+    def from_options(self, soc: Soc | None, **values) -> ExperimentPlan:
+        """The plan for one value per declared :attr:`params` entry."""
+        raise NotImplementedError
+
+    def render(self, report) -> str:
+        """The report's text, as the CLI prints it.  Default: the report
+        renders itself."""
+        return report.format()
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         raise NotImplementedError
@@ -452,6 +514,64 @@ def registered_plans() -> tuple[str, ...]:
     for name in _BUILTIN_MODULES:
         plan_kind(name)
     return tuple(sorted(_KINDS))
+
+
+def build_plan(kind: str, soc: Soc | None = None, **options) -> ExperimentPlan:
+    """Build the plan for ``kind`` from its declared options: the one
+    path of its CLI command and of ``repro submit``, so both give the
+    same plan fingerprint.
+
+    Args:
+        kind: A registered plan kind name.
+        soc: The target SOC (every kind except ``scaling``).
+        **options: Values of the kind's :attr:`PlanKind.params`; unset
+            (or ``None``) ones take their declared defaults.
+
+    Raises:
+        ValidationError: Unknown kind or option, missing SOC, a missing
+            required option, or a value of the wrong type or shape.
+    """
+    from repro.resilience.validation import ValidationError
+
+    try:
+        declared = plan_kind(kind)
+    except ValueError:
+        raise ValidationError(
+            f"unknown plan kind {kind!r}; submit accepts: "
+            f"{', '.join(registered_plans())}",
+            field="kind",
+        ) from None
+    params = {param.name: param for param in declared.params}
+    unknown = sorted(set(options) - set(params))
+    if unknown:
+        raise ValidationError(
+            f"unknown submit option(s) {', '.join(unknown)}",
+            field=unknown[0],
+        )
+    if soc is None and declared.needs_soc:
+        raise ValidationError(
+            f"plan kind {kind!r} requires a SOC", field="soc"
+        )
+    values = {}
+    for name, param in params.items():
+        value = options.get(name)
+        if value is None:
+            if param.required:
+                raise ValidationError(
+                    f"plan kind {kind!r} requires "
+                    f"--{name.replace('_', '-')}",
+                    field=name,
+                )
+            value = param.default
+        elif not param.accepts(value):
+            shape = "a list of" if param.many else "one"
+            raise ValidationError(
+                f"option {name!r} of plan kind {kind!r} takes {shape} "
+                f"{param.type.__name__}, got {value!r}",
+                field=name,
+            )
+        values[name] = value
+    return declared.from_options(soc, **values)
 
 
 def plan_cell_key(plan_fingerprint: str, cell_id: str) -> str:

@@ -2,62 +2,23 @@
 
 The CLI commands and the :mod:`repro.service` job server must print the
 *same* bytes for the same report — the service equivalence suite pins
-that down — so both go through this registry instead of each keeping its
-own formatting call.  ``render_report`` covers the deterministic body of
-each command's output; presentation extras that are deliberately not
+that down — so both render through the kind's
+:meth:`~repro.experiments.plan.PlanKind.render` instead of each keeping
+its own formatting call.  ``render_report`` covers the deterministic body
+of each command's output; presentation extras that are deliberately not
 part of the report (the table command's wall-clock ``(elapsed: ...)``
 line, ``--verbose`` progress) stay CLI-side.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import Callable
-
-_RENDERERS: dict[str, Callable] = {}
-
-#: kind -> (module, attribute); ``None`` attribute means the report
-#: renders itself via ``report.format()``.
-_BUILTIN_RENDERERS = {
-    "table": ("repro.experiments.reporting", "render_table"),
-    "pareto": ("repro.experiments.pareto", "format_curve"),
-    "volume": ("repro.experiments.compaction_study", "format_volume_report"),
-    "compare": ("repro.experiments.compare", "format_comparison"),
-    "multisite": ("repro.experiments.multisite", "format_multisite_report"),
-    "scaling": ("repro.experiments.scaling", "format_scaling_report"),
-    "sensitivity": (
-        "repro.experiments.sensitivity", "format_sensitivity_report"
-    ),
-    "stability": ("repro.experiments.stability", None),
-    "optimize": ("repro.experiments.single", "format_optimize_report"),
-    "evaluate": ("repro.experiments.single", "format_evaluate_report"),
-}
-
-
-def register_renderer(kind: str, fn: Callable) -> None:
-    """Register ``fn(report) -> str`` for a plan kind (external kinds)."""
-    _RENDERERS[kind] = fn
+from repro.experiments.plan import plan_kind
 
 
 def render_report(kind: str, report) -> str:
     """Render ``report`` (a plan kind's assembled object) to text.
 
     Raises:
-        ValueError: On a kind with no registered renderer.
+        ValueError: On an unknown plan kind.
     """
-    fn = _RENDERERS.get(kind)
-    if fn is None and kind in _BUILTIN_RENDERERS:
-        module_name, attribute = _BUILTIN_RENDERERS[kind]
-        importlib.import_module(module_name)
-        fn = (
-            (lambda rendered: rendered.format())
-            if attribute is None
-            else getattr(importlib.import_module(module_name), attribute)
-        )
-        _RENDERERS[kind] = fn
-    if fn is None:
-        known = sorted(set(_RENDERERS) | set(_BUILTIN_RENDERERS))
-        raise ValueError(
-            f"no renderer for plan kind {kind!r}; known: {', '.join(known)}"
-        )
-    return fn(report)
+    return plan_kind(kind).render(report)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.experiments.plan import (
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
 )
@@ -92,6 +93,23 @@ class ScalingPlan(PlanKind):
     """The scaling sweep as a declarative cell graph."""
 
     name = "scaling"
+    summary = "optimizer scaling study on synthetic SOCs"
+    needs_soc = False
+    params = (
+        Param("cores", (8, 16, 24, 32), many=True),
+        Param("wmax", 32),
+        Param("patterns", 2_000),
+        Param("parts", 4),
+        Param("seed", 0),
+    )
+
+    def from_options(self, soc, cores, wmax, patterns, parts, seed):
+        return scaling_plan(
+            cores, w_max=wmax, pattern_count=patterns, parts=parts, seed=seed
+        )
+
+    def render(self, report: tuple[ScalingPoint, ...]) -> str:
+        return format_scaling_report(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         core_counts, w_max, pattern_count, parts, seed = _scaling_params(

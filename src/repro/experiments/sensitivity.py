@@ -24,6 +24,7 @@ from repro.experiments.plan import (
     CellRef,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
 )
@@ -92,6 +93,19 @@ class SensitivityPlan(PlanKind):
     docstring)."""
 
     name = "sensitivity"
+    summary = "generator-knob sensitivity study"
+    params = (
+        Param("wmax", 32),
+        Param("patterns", 2_000),
+        Param("parts", 4),
+        Param("seed", 1),
+    )
+
+    def from_options(self, soc, wmax, patterns, parts, seed):
+        return sensitivity_plan(soc, patterns, wmax, parts=parts, seed=seed)
+
+    def render(self, report: tuple[SensitivityPoint, ...]) -> str:
+        return format_sensitivity_report(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         soc, pattern_count, w_max, parts, seed, variants = (

@@ -29,9 +29,11 @@ from repro.core.optimizer import evaluate_architecture
 from repro.core.scheduling import Evaluation
 from repro.experiments.plan import (
     RETIRED_PARAMS,
+    SI_PARAMS,
     CellRef,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
 )
@@ -54,6 +56,7 @@ from repro.runtime.pool import PatternsRef, resolve_patterns
 from repro.sitest.generator import GeneratorConfig
 from repro.soc.model import Soc
 from repro.tam.gantt import render_schedule
+from repro.tam.serialize import load_architecture
 from repro.tam.testrail import TestRailArchitecture
 
 
@@ -133,6 +136,19 @@ class OptimizePlan(PlanKind):
     """One ``TAM_Optimization`` run as a submittable plan."""
 
     name = "optimize"
+    summary = "optimize a test architecture"
+    params = (
+        Param("wmax", required=True, help="SOC TAM width budget W_max"),
+        *SI_PARAMS,
+    )
+
+    def from_options(self, soc, wmax, patterns, parts, seed):
+        return optimize_plan(
+            soc, wmax, pattern_count=patterns, parts=parts, seed=seed
+        )
+
+    def render(self, report: OptimizeReport) -> str:
+        return format_optimize_report(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         soc, pattern_count, parts, seed, config = _single_params(params)
@@ -192,6 +208,28 @@ class EvaluatePlan(PlanKind):
     """Pricing of a fixed architecture as a submittable plan."""
 
     name = "evaluate"
+    summary = "price a saved architecture against a test set"
+    params = (
+        Param(
+            "arch",
+            type=str,
+            required=True,
+            help="architecture JSON from 'optimize --save-arch'",
+        ),
+        *SI_PARAMS,
+    )
+
+    def from_options(self, soc, arch, patterns, parts, seed):
+        return evaluate_plan(
+            soc,
+            load_architecture(arch),
+            pattern_count=patterns,
+            parts=parts,
+            seed=seed,
+        )
+
+    def render(self, report: EvaluateReport) -> str:
+        return format_evaluate_report(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         soc, pattern_count, parts, seed, config = _single_params(params)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.experiments.plan import (
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     namespaced,
     plan_kind,
@@ -113,6 +114,15 @@ class StabilityPlan(PlanKind):
     """The seed sweep as a union of namespaced table plans."""
 
     name = "stability"
+    summary = "seed-stability of the table metrics"
+    params = (
+        Param("wmax", 24),
+        Param("patterns", 2_000),
+        Param("seeds", (1, 2, 3), many=True),
+    )
+
+    def from_options(self, soc, wmax, patterns, seeds):
+        return stability_plan(soc, patterns, wmax, seeds=seeds)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         table = plan_kind("table")

@@ -54,6 +54,7 @@ from repro.experiments.plan import (
     CellRef,
     CellSpec,
     ExperimentPlan,
+    Param,
     PlanKind,
     register_plan_kind,
     register_projection,
@@ -206,6 +207,29 @@ class TablePlan(PlanKind):
     """The Table 2/3 sweep as a declarative cell graph (module docstring)."""
 
     name = "table"
+    summary = "regenerate a Table 2/3 experiment"
+    params = (
+        Param("patterns", 10_000, help="initial SI pattern count N_r"),
+        Param(
+            "widths", DEFAULT_WIDTHS, many=True,
+            help="TAM width budgets W_max",
+        ),
+        Param(
+            "parts", DEFAULT_GROUP_COUNTS, many=True,
+            help="group counts i for the T_g_i columns",
+        ),
+        Param("seed", 1),
+    )
+
+    def from_options(self, soc, patterns, widths, parts, seed):
+        return table_plan(
+            soc, patterns, widths=widths, group_counts=parts, seed=seed
+        )
+
+    def render(self, report: TableResult) -> str:
+        from repro.experiments.reporting import render_table
+
+        return render_table(report)
 
     def expand(self, params: dict) -> tuple[CellSpec, ...]:
         (soc, pattern_count, widths, group_counts, seed,

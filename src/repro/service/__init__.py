@@ -15,15 +15,18 @@ Layering:
 * :mod:`repro.service.queue` — the bounded priority queue;
 * :mod:`repro.service.jobs` — durable job records, dedup registry;
 * :mod:`repro.service.server` — the HTTP server + executor thread;
-* :mod:`repro.service.client` — the stdlib client (``repro submit``);
-* :mod:`repro.service.plans` — CLI-knob -> plan builders.
+* :mod:`repro.service.client` — the stdlib client (``repro submit``).
+
+``repro submit`` builds its plan with
+:func:`~repro.experiments.plan.build_plan`, re-exported here, from the
+options each plan kind declares.
 
 See ``docs/service.md``.
 """
 
+from repro.experiments.plan import build_plan
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobManager, JobStore
-from repro.service.plans import SUBMITTABLE_KINDS, build_plan
 from repro.service.queue import JobQueue, QueueFullError
 from repro.service.server import OptimizationService, ServiceConfig
 from repro.service.wire import (
@@ -36,7 +39,6 @@ from repro.service.wire import (
 
 __all__ = [
     "JOB_STATES",
-    "SUBMITTABLE_KINDS",
     "TERMINAL_STATES",
     "Job",
     "JobManager",

@@ -9,6 +9,7 @@ from repro.experiments.plan import (
     CellRef,
     CellSpec,
     ExperimentPlan,
+    build_plan,
     namespaced,
     params_fingerprint,
     plan_cell_key,
@@ -21,6 +22,7 @@ from repro.experiments.plan import (
     subset,
     validate_cells,
 )
+from repro.resilience.validation import ValidationError
 from repro.sitest.generator import GeneratorConfig
 
 
@@ -183,6 +185,34 @@ class TestRegistry:
     def test_unknown_kind_names_the_known_ones(self):
         with pytest.raises(ValueError, match="unknown plan kind"):
             plan_kind("bogus")
+
+
+class TestBuildPlan:
+    def test_unset_options_take_the_declared_defaults(self, t5):
+        from repro.experiments.table_runner import table_plan
+
+        assert build_plan("table", t5, patterns=300).fingerprint() == (
+            table_plan(t5, 300).fingerprint()
+        )
+
+    @pytest.mark.parametrize(
+        "kind,soc,options,match",
+        [
+            ("bogus", True, {}, "unknown plan kind"),
+            ("stability", True, {"seed": 3}, "unknown submit option"),
+            ("pareto", False, {}, "requires a SOC"),
+            ("compare", True, {}, "requires --wmax"),
+            ("pareto", True, {"parts": [2]}, "takes one int"),
+            ("table", True, {"widths": 16}, "takes a list of int"),
+            ("volume", True, {"parts": []}, "takes a list of int"),
+        ],
+        ids=["kind", "option", "soc", "required", "one", "many", "empty"],
+    )
+    def test_bad_options_are_validation_errors(
+        self, t5, kind, soc, options, match
+    ):
+        with pytest.raises(ValidationError, match=match):
+            build_plan(kind, t5 if soc else None, **options)
 
 
 class TestSerialization:

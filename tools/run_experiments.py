@@ -34,12 +34,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.cli import add_param_flag
+from repro.experiments.plan import plan_kind
 from repro.experiments.reporting import render_table, save_result
-from repro.experiments.table_runner import (
-    DEFAULT_GROUP_COUNTS,
-    DEFAULT_WIDTHS,
-    run_table_experiment,
-)
+from repro.experiments.table_runner import run_table_experiment
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.runtime import (
     EvaluationCache,
@@ -68,15 +66,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "--patterns", type=int, nargs="+", default=[10_000, 100_000],
         help="initial SI pattern counts N_r",
     )
-    parser.add_argument(
-        "--widths", type=int, nargs="+", default=list(DEFAULT_WIDTHS),
-        help="TAM width budgets W_max",
-    )
-    parser.add_argument(
-        "--parts", type=int, nargs="+", default=list(DEFAULT_GROUP_COUNTS),
-        help="group counts i for the T_g_i columns",
-    )
-    parser.add_argument("--seed", type=int, default=1)
+    # --widths/--parts/--seed are the table command's options; its
+    # single --patterns is the list above.
+    for param in plan_kind("table").params:
+        if param.name != "patterns":
+            add_param_flag(parser, param)
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the sweep cells (1 = serial)",
